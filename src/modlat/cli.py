@@ -66,10 +66,6 @@ def _resolve_lattice(name):
     return row, entry
 
 
-def _fixture_decomposition(row):
-    return modform.decomposition_from_fixture(row)
-
-
 def cmd_expand(args):
     order = Fraction(args.order)
     if args.name in theta.FORM_NAMES:
@@ -77,7 +73,8 @@ def cmd_expand(args):
     else:
         row, entry = _resolve_lattice(args.name)
         if row is not None:
-            s = modform.expand_decomposition(_fixture_decomposition(row), order)
+            s = modform.expand_decomposition(
+                modform.decomposition_from_fixture(row), order)
         elif entry is not None:
             pairs = lattice.theta_coefficients(entry.gram, order - 1,
                                                args.budget)
@@ -86,6 +83,12 @@ def cmd_expand(args):
             raise ModlatError("unknown form or lattice %r" % args.name)
     _emit(args, [str(s)], s.to_json_dict())
     return 0
+
+
+def _oracle_depth(basis):
+    """Norm to enumerate to so the counts fix every basis coefficient."""
+    terms = len(basis.terms)
+    return max(8, 2 * terms if basis.kind == "even" else terms)
 
 
 def cmd_decompose(args):
@@ -98,9 +101,8 @@ def cmd_decompose(args):
             raise ModlatError("--ell is required with --gram")
         ell, n, kind = args.ell, g.n, args.kind
         basis = modform.build_basis(ell, n, kind)
-        depth = max(8, (2 * len(basis.terms) if kind == "even"
-                        else len(basis.terms)))
-        known = lattice.theta_coefficients(g, depth, args.budget)
+        known = lattice.theta_coefficients(g, _oracle_depth(basis),
+                                           args.budget)
         d = modform.solve_coefficients(basis, known)
     else:
         row, entry = _resolve_lattice(args.name)
@@ -111,11 +113,12 @@ def cmd_decompose(args):
         n = row.dim if row else entry.gram.n
         basis = modform.build_basis(ell, n, kind)
         if entry is not None:
-            depth = max(8, (2 * len(basis.terms) if kind == "even"
-                            else len(basis.terms)))
-            known = lattice.theta_coefficients(entry.gram, depth, args.budget)
+            known = lattice.theta_coefficients(entry.gram,
+                                               _oracle_depth(basis),
+                                               args.budget)
         else:
-            ref = modform.expand_decomposition(_fixture_decomposition(row))
+            ref = modform.expand_decomposition(
+                modform.decomposition_from_fixture(row))
             known = [(e, ref.coeff_at(e)) for e in range(9)]
         d = modform.solve_coefficients(basis, known)
     _emit(args, [d.pretty()], d.to_json_dict())
@@ -153,7 +156,7 @@ def cmd_code(args):
 def _gain_source(args, name):
     row, entry = _resolve_lattice(name)
     if row is not None:
-        d = _fixture_decomposition(row)
+        d = modform.decomposition_from_fixture(row)
         return d, row.ell, row.dim
     if entry is not None:
         n = args.n or entry.gram.n
@@ -192,7 +195,7 @@ def cmd_tables(args):
         structural = {name: (ok, problems) for name, ok, problems
                       in modform.verify_table(args.which)}
         for row in table:
-            d = _fixture_decomposition(row)
+            d = modform.decomposition_from_fixture(row)
             chi = secrecy.weak_secrecy_gain(d, row.ell, eps=args.eps)
             ok_struct, problems = structural[row.name]
             ok = ok_struct and abs(chi - row.chi_w) < tol
@@ -207,7 +210,7 @@ def cmd_tables(args):
                 chi, ok = 1.0, True
             elif row.modular_key:
                 ref = fixtures.table_row(row.modular_key)
-                d = _fixture_decomposition(ref)
+                d = modform.decomposition_from_fixture(ref)
                 chi = secrecy.weak_secrecy_gain(d, ref.ell, eps=args.eps)
                 ok = abs(chi - row.chi) < tol
             else:

@@ -98,16 +98,6 @@ def length_of(r: RingElem) -> int:
     return r.length()
 
 
-def _crt_split(r: RingElem):
-    """CRT coordinates of r = a(v-1) + b(v+1); test helper for ring sanity."""
-    # Solve a(v-1)+b(v+1) = (b-a) + (a+b)v over F3.
-    for a in range(3):
-        for b in range(3):
-            if (b - a) % 3 == r.a and (a + b) % 3 == r.b:
-                return (a, b)
-    raise AssertionError("unreachable")
-
-
 @dataclass(frozen=True)
 class CodeOverR:
     """Linear code over R given by generator rows."""

@@ -2,10 +2,15 @@
 enumeration, and the catalog of named lattices.
 
 The enumeration oracle is the independent check for every closed-form
-expansion in the package: it counts lattice vectors of each norm by
-Fincke-Pohst style bounded search.  Bounds are computed in floating
-point with a guard band; acceptance of each candidate is decided by an
-exact integer/rational norm computation, so counts are exact.
+expansion in the package: it counts lattice vectors of each norm by a
+Fincke-Pohst (1985) bounded search.  A rational Gram is first scaled by
+the lcm of its denominators, so every Gram takes one exact-integer path.
+The search tree is expanded one level at a time over batches of nodes in
+numpy: float centres and a guard band on the cutoff decide the pruning,
+while exact integer partial sums give each vector's norm.  The integers
+are int64 while a coordinate cap, derived before the search and checked
+during it, keeps them below 2^62, and Python ints otherwise, so counts
+are exact for every Gram.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import floor, isqrt, lcm
 
 import numpy as np
 
@@ -69,9 +74,6 @@ class GramMatrix:
     def determinant(self):
         ldl = self._ldl()
         if ldl is None:
-            # Fall back to Bareiss-free product via LDL on a shifted copy
-            # is unnecessary: positive definiteness is a construction
-            # invariant, so this path never runs for valid instances.
             raise ValueError("not positive definite")
         _, d = ldl
         out = Fraction(1)
@@ -87,16 +89,6 @@ class GramMatrix:
         if not self.is_integral():
             raise NotIntegral("evenness is only defined for integral Grams")
         return all(self.entries[i][i] % 2 == 0 for i in range(self.n))
-
-    def norm_of(self, x):
-        """Exact x^T G x for an integer coordinate vector."""
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.entries[i]
-            acc += xi * sum(row[j] * xj for j, xj in enumerate(x) if xj)
-        return acc
 
     # -- serialization ------------------------------------------------
 
@@ -191,86 +183,204 @@ def hnf_basis(rows):
 
 DEFAULT_BUDGET = 10 ** 8
 
+#: Most children the enumerator expands in one batch.  The search keeps
+#: at most one pending batch per tree level, so this bounds its memory.
+CHUNK = 1 << 16
+
+#: Exact integers at or above this magnitude are held as Python ints.
+_INT64_LIMIT = 1 << 62
+
+
+class _OutsideCap(Exception):
+    """A float search range left the coordinate cap of the int64 run."""
+
 
 def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     """Exact counts A_m of lattice vectors with norm m for m <= max_norm.
 
-    Bounds come from a floating-point LDL decomposition with a guard
-    band; every candidate inside the guard is then verified with an
-    exact norm computation, so the returned counts are exact.
+    The Gram is scaled by the lcm of its denominators to an integer
+    matrix G', so integral and rational Grams take one path.  A
+    Fincke-Pohst search over the float LDL^T decomposition, with a guard
+    band on the cutoff, expands one tree level at a time over a batch of
+    at most `CHUNK` children in numpy.  Beside the float centres it
+    carries the exact partial sums B_i = sum_{k>=j} G'_ik x_k and the
+    partial norm x^T G' x of each node, so every leaf's norm is an exact
+    integer and the counts are exact.  The integers are int64 while a
+    cap on the coordinates, checked as the search goes, keeps them below
+    2^62, and Python ints otherwise.  Nodes are counted as the search
+    accepts them; more than `budget` raises BoundTooLarge.
+
+    Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
+    floor(max_norm); rational Grams give the nonzero counts only, sorted
+    by norm.
     """
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
-    n = gram.n
     ldl = gram._ldl()
     if ldl is None:
         raise ValueError("Gram matrix is not positive definite")
-    Lq, dq = ldl
-    L = [[float(x) for x in row] for row in Lq]
-    d = [float(x) for x in dq]
-    C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
+    scale = lcm(*(x.denominator for row in gram.entries for x in row))
+    G = [[x.numerator * (scale // x.denominator) for x in row]
+         for row in gram.entries]
+    qmax = floor(max_norm * scale)
+    counts = {0: 1}
+    if gram.n:
+        Lq, dq = ldl
+        L = np.array([[float(x) for x in row] for row in Lq])
+        d = [float(x) for x in dq]
+        C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
+        try:
+            tally = _search(G, L, d, C, qmax, budget, _int64_cap(G, qmax))
+        except _OutsideCap:
+            tally = _search(G, L, d, C, qmax, budget, None)
+        counts.update((q, 2 * k) for q, k in tally.items())
+    if scale == 1:
+        return [(Fraction(m), counts.get(m, 0))
+                for m in range(int(max_norm) + 1)]
+    return [(Fraction(q, scale), counts[q]) for q in sorted(counts)]
 
-    candidates = []
-    x = [0] * n
-    S = [[0.0] * n for _ in range(n + 1)]  # S[j][i]: center offsets at level j
+
+def _int64_cap(G, qmax):
+    """Largest X for which int64 arithmetic is exact while all |x_j| < X.
+
+    With r_i the absolute row sums of G' and s their sum, |x_j| < X gives
+    |B_i| < X r_i, partial norms |Q| < X^2 s, and norm updates
+    |v (2 B_j + G'_jj v)| < 3 X^2 r_j, so every integer the search forms
+    stays below 4 X^2 s <= 2^62.  None, for Python ints, when X would be
+    below 3 or the scaled cutoff does not fit.
+    """
+    X = isqrt(_INT64_LIMIT // (4 * sum(abs(g) for row in G for g in row)))
+    return X if X >= 3 and qmax < _INT64_LIMIT else None
+
+
+def _truncate(a, dtype):
+    """int(x) of each float, toward zero, as int64 or Python ints."""
+    if dtype is object:
+        return np.array([int(x) for x in a.tolist()], dtype=object)
+    return a.astype(np.int64)
+
+
+def _search(G, L, d, C, qmax, budget, cap):
+    """Batched Fincke-Pohst search; returns {x^T G' x: half-vector count}.
+
+    Only half of the nonzero vectors are visited: the last nonzero
+    coordinate is positive.  The float pruning repeats the scalar
+    recursion operation for operation, so the node count does not
+    depend on the batching.  With a `cap` the integers are int64 and
+    _OutsideCap is raised if a range reaches it; without, they are
+    Python ints.
+
+    A batch holds the nodes of one level as arrays: float centre offsets
+    S, exact partial sums B, partial norms Q, float partial norms P, the
+    float budget rem = C - P left for the lower levels, and the ranges
+    [lo, hi] of the next coordinate.  `zero` marks a batch whose first
+    node is the all-zero prefix: its range starts at 0, and its first
+    child (x_j = 0, always kept) is again the all-zero prefix.
+    """
+    n = len(d)
+    dtype = object if cap is None else np.int64
+    G = np.array(G, dtype=dtype)
+
+    def ranges(j, S, rem, zero):
+        """[lo, hi] of x_j for each node, as `int(-c -+ r) -+ 1`."""
+        c = -S[:, j]
+        # a node with rem < 0 gets r = 0: each of its children has
+        # contrib >= 0 > rem and is rejected, as in the scalar recursion
+        r = np.sqrt(np.maximum(rem, 0.0) / d[j])
+        a = c - r
+        b = c + r
+        # inside (2 - cap, cap - 2), so int(.) -+ 1 stays below the cap
+        if cap is not None and (a.min() <= 2 - cap or b.max() >= cap - 2):
+            raise _OutsideCap
+        lo = _truncate(a, dtype) - 1
+        hi = _truncate(b, dtype) + 1
+        if zero:
+            lo[0] = 0
+        return lo, hi
+
+    S = np.zeros((1, n))
+    P = np.zeros(1)
+    rem = C - P
+    root = (S, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype),
+            P, rem) + ranges(n - 1, S, rem, True)
+    stack = [(n - 1, True, root)]
+    tally = {}
     nodes = 0
+    while stack:
+        j, zero, batch = stack.pop()
+        size = _widths(*batch[-2:], dtype)
+        total = int(size.sum())
+        if total > CHUNK:
+            k = int(np.searchsorted(np.cumsum(size), CHUNK, side="right"))
+            if k:
+                stack.append((j, False, tuple(a[k:] for a in batch)))
+                batch = tuple(a[:k] for a in batch)
+            else:
+                # the first node alone has more than CHUNK children
+                lo, hi = batch[-2:]
+                cut = lo[:1] + CHUNK
+                stack.append((j, False, batch[:-2]
+                              + (np.concatenate((cut, lo[1:])), hi)))
+                batch = tuple(a[:1] for a in batch[:-1]) + (cut - 1,)
+            size = _widths(*batch[-2:], dtype)
+            total = int(size.sum())
+        S, B, Q, P, rem, lo, hi = batch
+        parent = np.repeat(np.arange(len(size)), size)
+        first, step = np.cumsum(size) - size, np.arange(total)
+        if dtype is object:
+            first, step = first.astype(object), step.astype(object)
+        v = (lo - first)[parent] + step
+        vf = v.astype(np.float64)
+        t = vf + S[:, j][parent]
+        contrib = d[j] * t * t
+        keep = np.flatnonzero(contrib <= rem[parent])
+        nodes += len(keep)
+        if nodes > budget:
+            raise BoundTooLarge("enumeration exceeded budget of %d nodes"
+                                % budget)
+        if not len(keep):
+            continue
+        parent, v, vf = parent[keep], v[keep], vf[keep]
+        Qc = Q[parent] + v * (2 * B[:, j][parent] + G[j, j] * v)
+        if j == 0:
+            norms = Qc[1:] if zero else Qc
+            _tally(tally, norms[norms <= qmax])
+            continue
+        Pc = P[parent] + contrib[keep]
+        Sc = S.take(parent, axis=0)[:, :j] + L[j, :j] * vf[:, None]
+        Bc = B.take(parent, axis=0)[:, :j] + G[j, :j] * v[:, None]
+        remc = C - Pc
+        stack.append((j - 1, zero, (Sc, Bc, Qc, Pc, remc)
+                      + ranges(j - 1, Sc, remc, zero)))
+    return tally
 
-    def descend(j, partial, allzero):
-        nonlocal nodes
-        if j < 0:
-            if not allzero:
-                candidates.append(x[:])
-            return
-        c = S[j + 1][j]
-        rem = C - partial
-        if rem < 0:
-            return
-        r = sqrt(rem / d[j])
-        lo = 0 if allzero else int(-c - r) - 1
-        hi = int(-c + r) + 1
-        for v in range(lo, hi + 1):
-            t = v + c
-            contrib = d[j] * t * t
-            if contrib > rem:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BoundTooLarge("enumeration exceeded budget of %d nodes"
-                                    % budget)
-            x[j] = v
-            row = S[j]
-            prev = S[j + 1]
-            for i in range(j):
-                row[i] = prev[i] + L[j][i] * v
-            descend(j - 1, partial + contrib, allzero and v == 0)
-        x[j] = 0
 
-    descend(n - 1, 0.0, True)
+def _widths(lo, hi, dtype):
+    """Children per node, as int64.
 
-    counts: dict[Fraction, int] = {Fraction(0): 1}
-    if candidates:
-        if gram.is_integral():
-            G = np.array([[int(x_) for x_ in row] for row in gram.entries],
-                         dtype=np.int64)
-            X = np.array(candidates, dtype=np.int64)
-            norms = np.einsum("ij,jk,ik->i", X, G, X)
-            for nv in norms:
-                m = Fraction(int(nv))
-                if m <= max_norm:
-                    counts[m] = counts.get(m, 0) + 2
-        else:
-            for cand in candidates:
-                m = gram.norm_of(cand)
-                if m <= max_norm:
-                    counts[m] = counts.get(m, 0) + 2
+    Python-int widths are capped at CHUNK + 1 first; the cap changes no
+    split of a batch.
+    """
+    if dtype is object:
+        return np.minimum(hi - lo + 1, CHUNK + 1).astype(np.int64)
+    return hi - lo + 1
 
-    if gram.is_integral():
-        out = [(Fraction(m), counts.get(Fraction(m), 0))
-               for m in range(int(max_norm) + 1)]
-    else:
-        out = sorted(counts.items())
-    return out
+
+def _tally(tally, norms):
+    """Add the count of each distinct value of `norms` to `tally`.
+
+    The same as np.unique(norms, return_counts=True), at half its
+    overhead on the few leaves of a low-norm call.
+    """
+    if len(norms):
+        norms = np.sort(norms)
+        last = np.flatnonzero(norms[1:] != norms[:-1])
+        ends = last.tolist() + [len(norms) - 1]
+        start = -1
+        for q, end in zip(norms[ends].tolist(), ends):
+            tally[q] = tally.get(q, 0) + end - start
+            start = end
 
 
 # ---------------------------------------------------------------------------

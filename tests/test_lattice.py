@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import floor, isqrt, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from modlat import lattice
 from modlat.errors import (BoundTooLarge, NotIntegral, RankDeficient,
                            UnknownLattice)
 from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog,
@@ -136,3 +141,120 @@ def test_gram_serde_round_trip():
     g = catalog("A2").gram
     assert GramMatrix.from_json(g.to_json()).entries == g.entries
     assert GramMatrix.from_text(g.to_text()).entries == g.entries
+
+
+def test_exact_norms_with_large_denominators():
+    # scaled by 2^62, these norms no longer fit int64: the counts must
+    # still be exact
+    g = GramMatrix([[Fraction(2 ** 62 + 1, 2 ** 62)]])
+    assert theta_coefficients(g, 5) == [
+        (Fraction(0), 1), (Fraction(2 ** 62 + 1, 2 ** 62), 2),
+        (Fraction(2 ** 62 + 1, 2 ** 60), 2)]
+    # norm 1 + 2^-40 lies inside the float guard band above the cutoff
+    assert theta_coefficients(GramMatrix([[1 + Fraction(1, 2 ** 40)]]),
+                              1) == [(Fraction(0), 1)]
+    eps = Fraction(1, 2 ** 62)
+    g = GramMatrix([[1, eps], [eps, 1]])
+    assert theta_coefficients(g, 3) == [
+        (Fraction(0), 1), (Fraction(1), 4), (2 - 2 * eps, 2),
+        (2 + 2 * eps, 2)]
+
+
+def _half(gram):
+    return GramMatrix([[x / 2 for x in row] for row in gram.entries])
+
+
+@pytest.mark.parametrize("name, max_norm, nodes", [
+    ("D4", 8, 131), ("E8", 4, 2742), ("ExampleDim8", 6, 1880),
+    ("K12", 4, 2860), ("D4/2", 4, 131)])
+def test_node_budget_thresholds(name, max_norm, nodes):
+    base = name.split("/")[0]
+    g = catalog(base).gram
+    if name.endswith("/2"):
+        g = _half(g)
+    theta_coefficients(g, max_norm, budget=nodes)
+    with pytest.raises(BoundTooLarge):
+        theta_coefficients(g, max_norm, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("name, norm", [("D4", 16), ("K12", 8),
+                                        ("ExampleDim8", 8)])
+def test_half_scaled_counts(name, norm):
+    g = catalog(name).gram
+    want = [(m / 2, c) for m, c in theta_coefficients(g, norm) if c]
+    got = theta_coefficients(_half(g), Fraction(norm, 2))
+    assert got == want
+    assert all(type(m) is Fraction and type(c) is int for m, c in got)
+
+
+def _box(gram, max_norm):
+    """Bounds |x_k| <= sqrt(max_norm * (G^-1)_kk) of the search box."""
+    n = gram.n
+    G = [list(row) for row in gram.entries]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        p = G[c][c]
+        G[c] = [x / p for x in G[c]]
+        inv[c] = [x / p for x in inv[c]]
+        for r in range(n):
+            if r != c and G[r][c]:
+                f = G[r][c]
+                G[r] = [a - f * b for a, b in zip(G[r], G[c])]
+                inv[r] = [a - f * b for a, b in zip(inv[r], inv[c])]
+    return [isqrt(floor(max_norm * inv[k][k])) for k in range(n)]
+
+
+def _brute_force(gram, max_norm, box):
+    """Counts by exact norms of every x in the box."""
+    n = gram.n
+    counts = {}
+    for x in product(*(range(-b, b + 1) for b in box)):
+        m = sum(gram.entries[i][j] * x[i] * x[j]
+                for i in range(n) for j in range(n))
+        if m <= max_norm:
+            counts[m] = counts.get(m, 0) + 1
+    if gram.is_integral():
+        return [(Fraction(m), counts.get(m, 0))
+                for m in range(floor(max_norm) + 1)]
+    return sorted(counts.items())
+
+
+_rationals = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def _small_grams(draw):
+    n = draw(st.integers(1, 4))
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = draw(st.builds(Fraction, st.integers(1, 6),
+                                       st.integers(1, 3)))
+        for j in range(i):
+            entries[i][j] = entries[j][i] = draw(_rationals)
+    try:
+        return GramMatrix(entries)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_grams(), st.builds(Fraction, st.integers(0, 12),
+                                 st.integers(1, 3)))
+def test_matches_brute_force(gram, max_norm):
+    box = _box(gram, max_norm)
+    assume(prod(2 * b + 1 for b in box) <= 2000)
+    got = theta_coefficients(gram, max_norm)
+    assert got == _brute_force(gram, max_norm, box)
+    assert all(type(m) is Fraction and type(c) is int for m, c in got)
+
+
+def test_search_reaching_cap_falls_back_to_python_ints(monkeypatch):
+    # Z^2 in the basis (1, 0), (K, 1), where x = (-6K, 6) has norm 36.
+    # A cap of 3 admits int64, but the search ranges reach it, so the
+    # search reruns with Python ints.
+    K = 2 ** 29
+    g = GramMatrix([[1, K], [K, K * K + 1]])
+    want = theta_coefficients(catalog("Z2").gram, 36)
+    assert theta_coefficients(g, 36) == want
+    monkeypatch.setattr(lattice, "_int64_cap", lambda G, qmax: 3)
+    assert theta_coefficients(g, 36) == want
