@@ -315,7 +315,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModlatError as exc:
+    except (ModlatError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -27,11 +27,15 @@ from .errors import (BoundTooLarge, NotIntegral, RankDeficient,
 
 
 class GramMatrix:
-    """Symmetric positive-definite matrix of exact rationals."""
+    """Symmetric positive-definite matrix of exact rationals.
 
-    __slots__ = ("entries", "n")
+    `ldl` holds the exact LDL^T factors (L, d) found by the
+    positive-definiteness check at construction.
+    """
 
-    def __init__(self, entries, check=True):
+    __slots__ = ("entries", "n", "ldl")
+
+    def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -40,10 +44,12 @@ class GramMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        ldl = _ldl(rows)
+        if ldl is None:
+            raise ValueError("Gram matrix is not positive definite")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
-        if check and self._ldl() is None:
-            raise ValueError("Gram matrix is not positive definite")
+        object.__setattr__(self, "ldl", ldl)
 
     def __setattr__(self, *_):
         raise AttributeError("GramMatrix is immutable")
@@ -54,30 +60,9 @@ class GramMatrix:
     def __hash__(self):
         return hash(self.entries)
 
-    def _ldl(self):
-        """Exact LDL^T decomposition; None if not positive definite."""
-        n = self.n
-        L = [[Fraction(0)] * n for _ in range(n)]
-        d = [Fraction(0)] * n
-        for j in range(n):
-            s = self.entries[j][j] - sum(d[k] * L[j][k] ** 2 for k in range(j))
-            if s <= 0:
-                return None
-            d[j] = s
-            L[j][j] = Fraction(1)
-            for i in range(j + 1, n):
-                t = self.entries[i][j] - sum(d[k] * L[i][k] * L[j][k]
-                                             for k in range(j))
-                L[i][j] = t / s
-        return L, d
-
     def determinant(self):
-        ldl = self._ldl()
-        if ldl is None:
-            raise ValueError("not positive definite")
-        _, d = ldl
         out = Fraction(1)
-        for x in d:
+        for x in self.ldl[1]:
             out *= x
         return out
 
@@ -116,6 +101,24 @@ class GramMatrix:
         rows = [[Fraction(x) for x in ln.split()]
                 for ln in text.splitlines() if ln.strip()]
         return cls(rows)
+
+
+def _ldl(entries):
+    """Exact LDL^T decomposition; None if not positive definite."""
+    n = len(entries)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for j in range(n):
+        s = entries[j][j] - sum(d[k] * L[j][k] ** 2 for k in range(j))
+        if s <= 0:
+            return None
+        d[j] = s
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            t = entries[i][j] - sum(d[k] * L[i][k] * L[j][k]
+                                    for k in range(j))
+            L[i][j] = t / s
+    return tuple(map(tuple, L)), tuple(d)
 
 
 def gram_from_generator(rows):
@@ -217,16 +220,13 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
-    ldl = gram._ldl()
-    if ldl is None:
-        raise ValueError("Gram matrix is not positive definite")
     scale = lcm(*(x.denominator for row in gram.entries for x in row))
     G = [[x.numerator * (scale // x.denominator) for x in row]
          for row in gram.entries]
     qmax = floor(max_norm * scale)
     counts = {0: 1}
     if gram.n:
-        Lq, dq = ldl
+        Lq, dq = gram.ldl
         L = np.array([[float(x) for x in row] for row in Lq])
         d = [float(x) for x in dq]
         C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)

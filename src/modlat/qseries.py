@@ -153,6 +153,11 @@ class QSeries:
             return self.scalar_mul(other)
         return NotImplemented
 
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scalar_mul(1 / Fraction(other))
+        return NotImplemented
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scalar_mul(other)

@@ -1,6 +1,10 @@
 """Numerical evaluation of theta series and secrecy functions on the
 imaginary axis tau = i*y.
 
+The four primitives theta2, theta3, theta4 and eta are summed in
+floats here; every other named form is read from `theta.FORMULAS` by
+`form_numeric`, so the exact and float paths share one formula.
+
 The secrecy function compares a lattice against the cubic lattice of
 the same volume: Xi(y) = theta3(i*sqrt(ell)*y)^n / Theta_Lambda(i*y).
 Its value at the symmetry point y = 1/sqrt(ell) is the weak secrecy
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from .errors import TailBoundNotMet
 from .lattice import GramMatrix, theta_coefficients
 from .modform import ThetaDecomposition
+from .theta import FORMULAS
 
 _EPS_DEFAULT = 1e-12
 
@@ -41,7 +46,7 @@ def theta2_numeric(y, scale=1.0):
     while True:
         t = 2.0 * math.exp(-a * (m + 0.5) ** 2)
         s += t
-        if t < 1e-18 * s:
+        if t <= 1e-18 * s:  # both 0.0 once exp underflows
             return s
         m += 1
 
@@ -70,19 +75,10 @@ def eta_numeric(y, scale=1.0):
         m += 1
 
 
-_GENERATOR_EVALUATORS = {
-    "Theta_E8": lambda y: 0.5 * (theta2_numeric(y) ** 8 + theta3_numeric(y) ** 8
-                                 + theta4_numeric(y) ** 8),
-    "Delta_24": lambda y: eta_numeric(y) ** 24,
-    "Theta_D4": lambda y: 0.5 * (theta3_numeric(y) ** 4 + theta4_numeric(y) ** 4),
-    "Delta_16": lambda y: (eta_numeric(y) * eta_numeric(y, 2.0)) ** 8,
-    "Theta_A2": lambda y: (theta2_numeric(y, 2.0) * theta2_numeric(y, 6.0)
-                           + theta3_numeric(y, 2.0) * theta3_numeric(y, 6.0)),
-    "Delta_12": lambda y: (eta_numeric(y) * eta_numeric(y, 3.0)) ** 6,
-    "f1_l2": lambda y: theta3_numeric(y) * theta3_numeric(y, 2.0),
-    "Delta_4": lambda y: 0.25 * (theta2_numeric(y, 2.0) ** 2
-                                 * theta4_numeric(y) ** 2),
-}
+def form_numeric(name, y):
+    """Value at tau = i*y of a named form, read from `theta.FORMULAS`."""
+    return FORMULAS[name](y, theta2_numeric, theta3_numeric, theta4_numeric,
+                          eta_numeric)
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,8 @@ class ThetaValue:
 
 def eval_decomposition_numeric(d: ThetaDecomposition, y):
     g1, g2 = d.basis.generators
-    v1 = _GENERATOR_EVALUATORS[g1](y)
-    v2 = _GENERATOR_EVALUATORS[g2](y)
+    v1 = form_numeric(g1, y)
+    v2 = form_numeric(g2, y)
     total = 0.0
     for (e1, e2), c in zip(d.basis.terms, d.coeffs):
         total += float(c) * v1 ** e1 * v2 ** e2
@@ -150,7 +146,7 @@ def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=10 ** 8):
     if isinstance(source, GramMatrix):
         return eval_gram_numeric(source, y, eps, budget)
     if isinstance(source, str):
-        return ThetaValue(_GENERATOR_EVALUATORS[source](y), 0.0, 0)
+        return ThetaValue(form_numeric(source, y), 0.0, 0)
     raise TypeError("unsupported theta source %r" % (source,))
 
 

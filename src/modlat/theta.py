@@ -1,8 +1,12 @@
 """Named q-expansions: Jacobi thetas, Dedekind eta, and the basis forms.
 
 Everything is exact; see `qseries` for the q = e^{pi*i*tau} convention.
-Composite forms are memoized per (name, scale, order); the cache is
-fill-once and idempotent, so concurrent reads are safe.
+Each named form is written once, in `FORMULAS`, as a formula over the
+four primitives theta2, theta3, theta4 and eta.  `expand` reads it with
+the exact expansions defined here, and `secrecy.form_numeric` reads the
+same formula with float evaluators.  Composite forms are memoized per
+(name, scale, order); the cache is fill-once and idempotent, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -11,13 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qseries import DEFAULT_ORDER, QSeries, first_mismatch
-
-#: Stable CLI-facing identifiers for every named form.
-FORM_NAMES = (
-    "theta2", "theta3", "theta4", "eta",
-    "Theta_D4", "Delta_16", "Theta_A2", "Delta_12",
-    "Theta_E8", "Delta_24", "f1_l2", "Delta_4",
-)
 
 
 @lru_cache(maxsize=None)
@@ -74,74 +71,47 @@ def eta(order=DEFAULT_ORDER, scale=Fraction(1)):
     return out
 
 
-def _theta_d4(order):
-    t3 = jacobi_theta3(order)
-    t4 = jacobi_theta4(order)
-    return Fraction(1, 2) * (t3 ** 4 + t4 ** 4)
-
-
-def _delta_16(order):
-    return (eta(order) * eta(order, Fraction(2))) ** 8
-
-
-def _theta_a2(order):
-    return (jacobi_theta2(order, Fraction(2)) * jacobi_theta2(order, Fraction(6))
-            + jacobi_theta3(order, Fraction(2)) * jacobi_theta3(order, Fraction(6)))
-
-
-def _delta_12(order):
-    return (eta(order) * eta(order, Fraction(3))) ** 6
-
-
-def _theta_e8(order):
-    # Standard form for the 8-dim even unimodular lattice theta series;
-    # validated against the E8 enumeration oracle in the test suite.
-    t2 = jacobi_theta2(order)
-    t3 = jacobi_theta3(order)
-    t4 = jacobi_theta4(order)
-    return Fraction(1, 2) * (t2 ** 8 + t3 ** 8 + t4 ** 8)
-
-
-def _delta_24(order):
-    return eta(order) ** 24
-
-
-def _f1_l2(order):
-    return jacobi_theta3(order) * jacobi_theta3(order, Fraction(2))
-
-
-def _delta_4(order):
-    return Fraction(1, 4) * (jacobi_theta2(order, Fraction(2)) ** 2
-                             * jacobi_theta4(order) ** 2)
-
-
-_BUILDERS = {
-    "theta2": lambda order: jacobi_theta2(order),
-    "theta3": lambda order: jacobi_theta3(order),
-    "theta4": lambda order: jacobi_theta4(order),
-    "eta": lambda order: eta(order),
-    "Theta_D4": _theta_d4,
-    "Delta_16": _delta_16,
-    "Theta_A2": _theta_a2,
-    "Delta_12": _delta_12,
-    "Theta_E8": _theta_e8,
-    "Delta_24": _delta_24,
-    "f1_l2": _f1_l2,
-    "Delta_4": _delta_4,
+#: Every named form as one formula over the four primitives.  Each
+#: formula takes a point x and the primitives t2, t3, t4, eta, each called
+#: as f(x, scale) for f(scale*tau).  `expand` passes the truncation order
+#: and the exact expansions below; `secrecy.form_numeric` passes y and
+#: the float evaluators at tau = i*y.  Scales are ints: floats round as
+#: with float scales, and the exact caches key as with Fraction scales.
+FORMULAS = {
+    "theta2": lambda x, t2, t3, t4, eta: t2(x, 1),
+    "theta3": lambda x, t2, t3, t4, eta: t3(x, 1),
+    "theta4": lambda x, t2, t3, t4, eta: t4(x, 1),
+    "eta": lambda x, t2, t3, t4, eta: eta(x, 1),
+    "Theta_D4": lambda x, t2, t3, t4, eta:
+        (t3(x, 1) ** 4 + t4(x, 1) ** 4) / 2,
+    "Delta_16": lambda x, t2, t3, t4, eta: (eta(x, 1) * eta(x, 2)) ** 8,
+    "Theta_A2": lambda x, t2, t3, t4, eta:
+        t2(x, 2) * t2(x, 6) + t3(x, 2) * t3(x, 6),
+    "Delta_12": lambda x, t2, t3, t4, eta: (eta(x, 1) * eta(x, 3)) ** 6,
+    # the 8-dim even unimodular lattice; checked against the E8 oracle
+    "Theta_E8": lambda x, t2, t3, t4, eta:
+        (t2(x, 1) ** 8 + t3(x, 1) ** 8 + t4(x, 1) ** 8) / 2,
+    "Delta_24": lambda x, t2, t3, t4, eta: eta(x, 1) ** 24,
+    "f1_l2": lambda x, t2, t3, t4, eta: t3(x, 1) * t3(x, 2),
+    "Delta_4": lambda x, t2, t3, t4, eta:
+        t2(x, 2) ** 2 * t4(x, 1) ** 2 / 4,
 }
+
+#: Stable CLI-facing identifiers for every named form.
+FORM_NAMES = tuple(FORMULAS)
 
 
 @lru_cache(maxsize=None)
 def expand(name, order=DEFAULT_ORDER, scale=Fraction(1)):
     """q-expansion of a named form at argument scale*tau, correct below order."""
     order, scale = Fraction(order), Fraction(scale)
-    if name not in _BUILDERS:
+    if name not in FORMULAS:
         raise KeyError("unknown form %r; known: %s" % (name, ", ".join(FORM_NAMES)))
     if order <= 0:
         raise ValueError("order must be positive")
-    if scale != 1:
-        return _BUILDERS[name](order / scale).scale_argument(scale)
-    return _BUILDERS[name](order)
+    s = FORMULAS[name](order / scale, jacobi_theta2, jacobi_theta3,
+                       jacobi_theta4, eta)
+    return s if scale == 1 else s.scale_argument(scale)
 
 
 def eta_quotient(numerator_scales, denominator_scales, order=DEFAULT_ORDER):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modlat
 from modlat.cli import main
 
 
@@ -94,3 +98,31 @@ def test_out_file(run, tmp_path):
     assert code == 0 and out == ""
     d = json.loads(target.read_text())
     assert d["terms"][0] == [0, "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    "curve A2 --range 3:1 --samples 3",
+    "curve A2 --samples 1",
+    "curve A2 --range abc",
+    "expand Theta_D4 --order 0",
+    "expand Theta_D4 --order x",
+    "decompose --gram /nonexistent --ell 2",
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_curve_far_above_symmetry_point_terminates():
+    # theta2(6*i*y) underflows to 0 here; its summation loop must stop
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(modlat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "modlat.cli", "curve", "A2",
+         "--range", "22:23", "--samples", "2", "--format", "json"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [p["xi"] for p in json.loads(proc.stdout)] == [1.0, 1.0]

@@ -57,6 +57,17 @@ def test_determinant_matches_level():
         assert e.gram.determinant() == Fraction(e.ell) ** (n // 2), name
 
 
+@pytest.mark.parametrize("entries", [
+    [[1, 1], [1, 1]],                # singular
+    [[1, 2], [2, 1]],                # indefinite
+    [[0]],
+    [[Fraction(-1, 2)]],
+])
+def test_gram_not_positive_definite_rejected(entries):
+    with pytest.raises(ValueError, match="not positive definite"):
+        GramMatrix(entries)
+
+
 def test_parity_flags():
     assert catalog("D4").parity == "even"
     assert catalog("ExampleDim8").parity == "odd"

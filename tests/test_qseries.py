@@ -66,6 +66,15 @@ def test_mul_theta3_scaled_product():
     assert p.coeff_at(2) == 0
 
 
+def test_divide_by_scalar():
+    a = QSeries.from_terms([(F("1/2"), 3), (2, -1)], 9)
+    assert a / 4 == Fraction(1, 4) * a
+    assert a / F("3/2") == QSeries.from_terms([(F("1/2"), 2),
+                                               (2, F("-2/3"))], 9)
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+
+
 def test_mul_one_identity():
     a = QSeries.from_terms([(F("1/2"), 3), (2, -1)], 9)
     assert first_mismatch(a * QSeries.one(9), a) is None

@@ -10,6 +10,7 @@ from modlat.modform import decomposition_from_fixture
 from modlat.secrecy import (eval_gram_numeric, eval_theta_numeric,
                             locate_maximum, secrecy_curve, secrecy_function,
                             theta3_numeric, weak_secrecy_gain)
+from modlat.theta import FORM_NAMES, expand
 
 
 def fixture_decomposition(name):
@@ -24,6 +25,16 @@ def test_theta3_classical_value():
     assert abs(theta3_numeric(1.0) - direct) < 1e-15
     assert abs(theta3_numeric(1.0)
                - math.pi ** 0.25 / math.gamma(0.75)) < 1e-12
+
+
+@pytest.mark.parametrize("name", FORM_NAMES)
+@pytest.mark.parametrize("y", [0.5, 1.0])
+def test_float_form_matches_exact_expansion(name, y):
+    # q = e^{-pi*y}; past order 40 every term carries e^{-20*pi} < 1e-27
+    exact = sum(float(c) * math.exp(-math.pi * y * float(e))
+                for e, c in expand(name, 40).terms())
+    value = eval_theta_numeric(name, y).value
+    assert value == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_large_y_limit():
