@@ -59,6 +59,11 @@ class QSeries:
     def __setattr__(self, *_):
         raise AttributeError("QSeries is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as slot
+        # assignment is refused
+        return QSeries, (self.den, self.coeffs, self.trunc)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

@@ -5,6 +5,19 @@ The four primitives theta2, theta3, theta4 and eta are summed in
 floats here; every other named form is read from `theta.FORMULAS` by
 `form_numeric`, so the exact and float paths share one formula.
 
+The theta series of a Gram G (LDL^T diagonal d) is summed from exact
+norm counts A_m with a proven tail bound.  The Fincke-Pohst count gives
+N(t) <= P(t) = prod_j (2*sqrt(t/d_j) + 1) vectors of norm <= t, so by
+Stieltjes integration the terms past a cutoff R sum to at most
+a * int_R^oo (P(t) - 1) e^(-a*t) dt at the rate a = pi*y.  The Poisson
+(Jacobi) identity Theta_L(iy) = det(G)^(-1/2) y^(-n/2) Theta_L*(i/y)
+gives a second sum, over the dual lattice with Gram G^-1 at the rate
+pi/y.  Each y takes the side whose box count P(R) at its own smallest
+certifying cutoff R is smaller (the primal on a tie), so far below the
+symmetry point the dual is summed.  The cutoffs are fixed before
+anything is enumerated, and a curve or a maximum search enumerates each
+side once, to the deepest cutoff its points need.
+
 The secrecy function compares a lattice against the cubic lattice of
 the same volume: Xi(y) = theta3(i*sqrt(ell)*y)^n / Theta_Lambda(i*y).
 Its value at the symmetry point y = 1/sqrt(ell) is the weak secrecy
@@ -16,7 +29,9 @@ y_dB = 10*log10(y).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import TailBoundNotMet
 from .lattice import GramMatrix, theta_coefficients
@@ -24,6 +39,7 @@ from .modform import ThetaDecomposition
 from .theta import FORMULAS
 
 _EPS_DEFAULT = 1e-12
+_BUDGET = 10 ** 8
 
 
 def theta3_numeric(y, scale=1.0):
@@ -89,6 +105,11 @@ class ThetaValue:
 
 
 def eval_decomposition_numeric(d: ThetaDecomposition, y):
+    """Theta at i*y from a decomposition over its basis generators.
+
+    `bound_on_tail` is n * 1e-16 * |value|, an estimate of the rounding
+    error, not a proven bound.
+    """
     g1, g2 = d.basis.generators
     v1 = form_numeric(g1, y)
     v2 = form_numeric(g2, y)
@@ -100,44 +121,271 @@ def eval_decomposition_numeric(d: ThetaDecomposition, y):
     return ThetaValue(total, abs(total) * n * 1e-16, 0)
 
 
-def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT, budget=10 ** 8):
-    """Direct summation over enumerated norms with a geometric tail bound."""
+#: Largest cutoff R either side of the Poisson identity may take.  A
+#: request that no R up to it certifies on either side raises
+#: TailBoundNotMet before anything is enumerated.
+MAX_CUTOFF = 200
+
+#: Factor on every computed tail bound.  The bound is a sum of positive
+#: terms, each a product of a few library results (exp, erfc, pow) that
+#: are correct to a few ulps, so its relative rounding error is far below
+#: 1e-9 and the factor keeps it an upper bound.
+_ROUND_UP = 1.0 + 1e-9
+
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _dual_gram(gram):
+    """Gram of the dual lattice, G^-1, exactly, in the reversed basis order.
+
+    In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
+    count of the dual side describes the search the enumerator makes.
+    Fraction-free Gauss-Jordan elimination on [s*G | I], with s the lcm
+    of the denominators, divides every update exactly by the previous
+    pivot and ends at [det(sG) * I | adj(sG)]; G^-1 = s * adj(sG) /
+    det(sG).  The pivots are leading principal minors of a positive
+    definite matrix, so none is zero.
+    """
     n = gram.n
-    if all(gram.entries[i][j] == (1 if i == j else 0)
-           for i in range(n) for j in range(n)):
-        # cubic lattice: the one-dimensional theta factorizes
-        return ThetaValue(theta3_numeric(y) ** n, 0.0, 0)
-    a = math.pi * y
-    max_norm = 10
-    while True:
-        pairs = theta_coefficients(gram, max_norm + 1, budget)
+    s = math.lcm(*(x.denominator for row in gram.entries for x in row))
+    rows = [[x.numerator * (s // x.denominator) for x in row]
+            + [int(i == j) for j in range(n)]
+            for i, row in enumerate(gram.entries)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot[k] * x - f * p) // prev
+                           for x, p in zip(rows[i], pivot)]
+        prev = pivot[k]
+    return GramMatrix([[Fraction(s * x, prev) for x in reversed(row[n:])]
+                       for row in reversed(rows)])
+
+
+class _Side:
+    """One side of Theta_L(iy) = w(y) * sum_m A_m exp(-a(y) * m).
+
+    The primal side sums the norm counts of L with w = 1 and a = pi*y; the
+    dual side those of L*, whose Gram is G^-1, with w = det(G)^(-1/2) *
+    y^(-n/2) and a = pi/y.  With d the diagonal of the exact LDL^T of G,
+    `c` holds the coefficients of the box count P(t) = prod_j (1 +
+    b_j*sqrt(t)) = sum_k c_k t^(k/2), where b_j = 2/sqrt(d_j) for L and
+    2*sqrt(d_j) for L* (see `_dual_gram`).
+    """
+
+    def __init__(self, gram, dual):
+        c = [1.0]
+        for x in gram.ldl[1]:
+            r = math.sqrt(float(x))
+            b = 2.0 * r if dual else 2.0 / r
+            c = [u + b * v for u, v in zip(c + [0.0], [0.0] + c)]
+        self.c = c
+        self.gram = gram
+        self.dual = dual
+        self.scale = float(gram.determinant()) ** -0.5 if dual else 1.0
+        self.depth = -1
+        self.norms = self.counts = ()
+
+    def rate(self, y):
+        return math.pi / y if self.dual else math.pi * y
+
+    def box(self, t):
+        """P(t) >= N(t), the number of vectors of norm <= t."""
+        r = math.sqrt(t)
+        p = 0.0
+        for ck in reversed(self.c):
+            p = p * r + ck
+        return p
+
+    def tail(self, a, R):
+        """Upper bound on the sum over norms m > R of A_m * exp(-a*m).
+
+        N(t) - 1 <= P(t) - 1 counts the nonzero vectors of norm <= t, so
+        integrating by parts (Stieltjes) the sum is at most
+        a * int_R^oo (P(t) - 1) e^(-a*t) dt
+          = sum_{k >= 1} c_k a^(-k/2) Gamma(k/2 + 1, a*R),
+        with the upper incomplete gamma function from Gamma(1/2, x) =
+        sqrt(pi) erfc(sqrt(x)), Gamma(1, x) = e^-x and Gamma(s + 1, x) =
+        s Gamma(s, x) + x^s e^-x.
+        """
+        x = a * R
+        gamma = [math.exp(-x), _SQRT_PI * math.erfc(math.sqrt(x))]
+        log_x = math.log(x) if x else -math.inf
+        total = 0.0
+        try:
+            for k in range(1, len(self.c)):
+                s = k / 2
+                gamma[k % 2] = s * gamma[k % 2] + math.exp(s * log_x - x)
+                total += self.c[k] * gamma[k % 2] * a ** -s
+        except OverflowError:  # a^(-s) beyond the float range
+            return math.inf
+        return total * _ROUND_UP
+
+    def cutoff(self, a, eps):
+        """Smallest integer R <= MAX_CUTOFF with tail(a, R) <= eps, or None."""
+        if not eps > 0:
+            return None
+        # start near the root of P(R) e^(-a*R) = eps, which the tail
+        # bound follows closely; the bound falls as R grows
+        R = 0.0
+        for _ in range(3):
+            R = min(MAX_CUTOFF, max(0.0, math.log(self.box(R) / eps)) / a)
+        R = int(R)
+        if self.tail(a, R) <= eps:
+            while R and self.tail(a, R - 1) <= eps:
+                R -= 1
+            return R
+        while R < MAX_CUTOFF:
+            R += 1
+            if self.tail(a, R) <= eps:
+                return R
+        return None
+
+    def enumerate(self, R, budget):
+        gram = _dual_gram(self.gram) if self.dual else self.gram
+        pairs = [(float(m), k) for m, k in theta_coefficients(gram, R, budget)
+                 if k]
+        self.norms = [m for m, _ in pairs]
+        self.counts = [k for _, k in pairs]
+        self.depth = R
+
+    def read(self, y, R):
+        """ThetaValue at i*y from the counts of norm <= R."""
+        a = self.rate(y)
+        used = bisect_right(self.norms, R)
         s = 0.0
-        last = (0, 1)
-        prev = None
-        for m, cnt in pairs:
-            if cnt and m <= max_norm:
-                s += cnt * math.exp(-a * float(m))
-                prev, last = last, (float(m), cnt)
-        # ratio test on the last two populated norms
-        if prev and prev[1]:
-            growth = last[1] / prev[1]
-        else:
-            growth = 2.0
-        r = growth * math.exp(-a * (float(pairs[-1][0]) - last[0]))
-        tail_start = sum(cnt * math.exp(-a * float(m))
-                         for m, cnt in pairs if m > max_norm)
-        if r < 1.0:
-            tail = tail_start / (1.0 - r) if tail_start else \
-                last[1] * math.exp(-a * (last[0] + 1)) / (1.0 - r)
-            if tail < eps * s:
-                return ThetaValue(s, tail, len(pairs))
-        if max_norm > 200:
-            raise TailBoundNotMet(
-                "cannot certify tail < %g at y=%g within the budget" % (eps, y))
-        max_norm *= 2
+        for m, k in zip(self.norms[:used], self.counts[:used]):
+            s += k * math.exp(-a * m)
+        w = self.scale * y ** (-self.gram.n / 2) if self.dual else 1.0
+        return ThetaValue(w * s, w * self.tail(a, R), used)
 
 
-def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=10 ** 8):
+class _GramTheta:
+    """Theta of a Gram at points planned before anything is enumerated.
+
+    Each y is given the side with the smaller box count P(R) at its own
+    cutoff R, the primal on a tie.  `prepare` and `prepare_span` take
+    every point a call will read, and enumerate each side once, to the
+    deepest cutoff its points need; `value` then reads each point from
+    those counts.
+    """
+
+    def __init__(self, gram, eps, budget):
+        n = gram.n
+        self.cubic = all(gram.entries[i][j] == (i == j)
+                         for i in range(n) for j in range(n))
+        self.n = n
+        self.sides = (_Side(gram, False), _Side(gram, True))
+        self.eps, self.budget = eps, budget
+        self.plans = {}
+
+    def plan(self, y):
+        """(side index, cutoffs of both sides) for y."""
+        if y not in self.plans:
+            if not y > 0:
+                raise ValueError("y must be positive")
+            cut = [side.cutoff(side.rate(y), self.eps) for side in self.sides]
+            cost = [math.inf if R is None else side.box(R)
+                    for side, R in zip(self.sides, cut)]
+            if cost[0] == cost[1] == math.inf:
+                raise TailBoundNotMet(
+                    "no cutoff up to %d certifies tail <= %g at y=%g on "
+                    "either side" % (MAX_CUTOFF, self.eps, y))
+            self.plans[y] = (int(cost[1] < cost[0]), cut)
+        return self.plans[y]
+
+    def prepare(self, ys):
+        """Enumerate each side once for the points `ys`."""
+        need = [-1, -1]
+        if not self.cubic:
+            for y in ys:
+                i, cut = self.plan(y)
+                need[i] = max(need[i], cut[i])
+        return self._enumerate(need)
+
+    def prepare_span(self, lo_db, hi_db):
+        """Prepare every y = 10^(y_dB/10) with lo_db <= y_dB <= hi_db.
+
+        A larger y lowers the primal cutoff and raises the dual one, so
+        the dual takes the lower part of the span and the primal the
+        upper.  Bisection narrows the switch to a bracket [u, v] across
+        which one cutoff changes by one step and the other not at all.
+        Every point of the bracket then has the side and cutoff of u or
+        of v; a point below u has the side of u and a cutoff no larger,
+        and a point above v those of v.
+        """
+        if self.cubic:
+            return self
+
+        def at(db):
+            return self.plan(10.0 ** (db / 10.0))
+
+        def jumps(c, d):
+            # None, no cutoff up to MAX_CUTOFF, is one step past it
+            return sum(abs((MAX_CUTOFF + 1 if a is None else a)
+                           - (MAX_CUTOFF + 1 if b is None else b))
+                       for a, b in zip(c, d))
+
+        u, v = lo_db, hi_db
+        (su, cu), (sv, cv) = at(u), at(v)
+        while su != sv and jumps(cu, cv) > 1:
+            m = (u + v) / 2
+            if not u < m < v:
+                break
+            sm, cm = at(m)
+            if sm == su:
+                u, cu = m, cm
+            else:
+                v, cv = m, cm
+        need = [-1, -1]
+        need[su] = cu[su]
+        need[sv] = max(need[sv], cv[sv])
+        return self._enumerate(need)
+
+    def _enumerate(self, need):
+        for side, R in zip(self.sides, need):
+            if R > side.depth:
+                side.enumerate(R, self.budget)
+        return self
+
+    def value(self, y):
+        if self.cubic:
+            # the one-dimensional theta factorizes
+            return ThetaValue(theta3_numeric(y) ** self.n, 0.0, 0)
+        i, cut = self.plan(y)
+        side = self.sides[i]
+        if cut[i] > side.depth:  # a point no prepare call planned
+            side.enumerate(cut[i], self.budget)
+        return side.read(y, cut[i])
+
+
+def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT, budget=_BUDGET):
+    """Theta_L(i*y) from one enumeration, with a proven tail bound.
+
+    The value is w(y) * sum_{m <= R} A_m e^(-a*m) on one side of the
+    Poisson identity Theta_L(iy) = det(G)^(-1/2) y^(-n/2) Theta_L*(i/y):
+    the primal (counts of L, a = pi*y, w = 1) or the dual (counts of L*,
+    Gram G^-1, a = pi/y, w = det(G)^(-1/2) y^(-n/2)).
+
+    Before enumerating, each side takes the smallest integer cutoff R
+    whose tail bound is at most eps; as Theta >= 1 on both sides, that
+    certifies eps relative.  The bound uses the Fincke-Pohst count
+    N(t) <= P(t) = prod_j (2 sqrt(t/d_j) + 1) over the exact LDL^T
+    diagonal d of the side's Gram, and Stieltjes integration:
+    sum_{m > R} A_m e^(-a*m) <= a * int_R^oo (P(t) - 1) e^(-a*t) dt.
+    The side with the smaller box count P(R) is enumerated once, to R
+    (the primal on a tie).  `bound_on_tail` is w(y) times that bound,
+    rounded up; `terms_used` counts the nonzero norms summed.  If neither
+    side certifies eps with R <= MAX_CUTOFF, TailBoundNotMet is raised
+    before anything is enumerated; more than `budget` search nodes raise
+    BoundTooLarge.
+    """
+    return _GramTheta(gram, eps, budget).prepare([y]).value(y)
+
+
+def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=_BUDGET):
     """Theta series value at tau = i*y for a decomposition or a Gram."""
     if y <= 0:
         raise ValueError("y must be positive")
@@ -145,6 +393,8 @@ def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=10 ** 8):
         return eval_decomposition_numeric(source, y)
     if isinstance(source, GramMatrix):
         return eval_gram_numeric(source, y, eps, budget)
+    if isinstance(source, _GramTheta):
+        return source.value(y)
     if isinstance(source, str):
         return ThetaValue(form_numeric(source, y), 0.0, 0)
     raise TypeError("unsupported theta source %r" % (source,))
@@ -195,12 +445,12 @@ def secrecy_curve(source, ell, y_range_db, samples, n=None, eps=_EPS_DEFAULT):
     if not (lo < hi and samples >= 2):
         raise ValueError("need lo < hi and samples >= 2")
     n = _dimension(source, n)
-    out = []
-    for i in range(samples):
-        ydb = lo + (hi - lo) * i / (samples - 1)
-        y = 10.0 ** (ydb / 10.0)
-        out.append((ydb, secrecy_function(source, ell, y, n, eps).xi))
-    return out
+    grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    ys = [10.0 ** (ydb / 10.0) for ydb in grid]
+    if isinstance(source, GramMatrix):
+        source = _GramTheta(source, eps, _BUDGET).prepare(ys)
+    return [(ydb, secrecy_function(source, ell, y, n, eps).xi)
+            for ydb, y in zip(grid, ys)]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,6 +468,8 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5, n=None,
         c = 10.0 * math.log10(ell ** -0.5)
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
+    if isinstance(source, GramMatrix):
+        source = _GramTheta(source, eps, _BUDGET).prepare_span(a, b)
 
     def f(ydb):
         return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), n, eps).xi

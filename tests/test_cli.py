@@ -126,3 +126,22 @@ def test_curve_far_above_symmetry_point_terminates():
         capture_output=True, text=True, timeout=30, env=env)
     assert proc.returncode == 0, proc.stderr
     assert [p["xi"] for p in json.loads(proc.stdout)] == [1.0, 1.0]
+
+
+def test_curve_below_symmetry_point_from_a_gram():
+    # the Gram path certifies each sample from one enumeration per side
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(modlat.__file__)))
+
+    def curve(name):
+        proc = subprocess.run(
+            [sys.executable, "-m", "modlat.cli", "curve", name,
+             "--range=-6:-5", "--samples", "2", "--format", "json"],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    gram, closed = curve("ExampleDim8"), curve("dim8")
+    assert [p["y_dB"] for p in gram] == [p["y_dB"] for p in closed]
+    for p, q in zip(gram, closed):
+        assert p["xi"] == pytest.approx(q["xi"], rel=1e-9, abs=0)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -66,6 +68,20 @@ def test_determinant_matches_level():
 def test_gram_not_positive_definite_rejected(entries):
     with pytest.raises(ValueError, match="not positive definite"):
         GramMatrix(entries)
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)),
+                                   copy.deepcopy, copy.copy])
+def test_gram_pickle_and_copy(clone):
+    for name in ("D4", "C2"):
+        g = catalog(name).gram
+        h = clone(g)
+        assert h == g and hash(h) == hash(g) and h.ldl == g.ldl
+    half = GramMatrix([[Fraction(x, 2) for x in row]
+                       for row in catalog("D4").gram.entries])
+    assert clone(half) == half
+    d4 = catalog("D4").gram
+    assert theta_coefficients(clone(d4), 8) == theta_coefficients(d4, 8)
 
 
 def test_parity_flags():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,6 +24,16 @@ def random_series(rng, trunc=16):
             terms.append((e, Fraction(rng.randrange(-9, 10),
                                       rng.choice((1, 2, 3)))))
     return QSeries.from_terms(terms, Fraction(trunc))
+
+
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)),
+                                   copy.deepcopy, copy.copy])
+def test_pickle_and_copy(clone):
+    for s in (QSeries.one(4), QSeries.zero(), jacobi_theta3(Fraction(21, 2)),
+              QSeries.from_terms([(Fraction(1, 3), Fraction(-2, 5)), (4, 7)], 9)):
+        t = clone(s)
+        assert t == s and hash(t) == hash(s)
+        assert (t.den, t.coeffs, t.trunc) == (s.den, s.coeffs, s.trunc)
 
 
 def test_add_coefficientwise():

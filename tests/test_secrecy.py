@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modlat import fixtures
+from modlat import fixtures, secrecy
 from modlat.errors import TailBoundNotMet
-from modlat.lattice import catalog
-from modlat.modform import decomposition_from_fixture
+from modlat.lattice import GramMatrix, catalog, theta_coefficients
+from modlat.modform import ThetaDecomposition, build_basis, \
+    decomposition_from_fixture
 from modlat.secrecy import (eval_gram_numeric, eval_theta_numeric,
                             locate_maximum, secrecy_curve, secrecy_function,
                             theta3_numeric, weak_secrecy_gain)
@@ -44,6 +46,13 @@ def test_large_y_limit():
     assert abs(eval_theta_numeric(d, 50.0).value - 1.0) < 1e-12
 
 
+def _assert_two_paths_agree(d, g, y):
+    a = eval_theta_numeric(d, y)
+    b = eval_theta_numeric(g, y)
+    assert abs(a.value - b.value) <= max(
+        1e-12 * a.value, a.bound_on_tail + b.bound_on_tail), y
+
+
 def test_two_path_agreement():
     pairs = [("D4", "D4", 2), ("A2", "A2", 3), ("dim8", "ExampleDim8", 2)]
     for fix_name, cat_name, ell in pairs:
@@ -51,10 +60,13 @@ def test_two_path_agreement():
             fixture_decomposition("A2")
         g = catalog(cat_name).gram
         for y in (0.5, 1.0 / math.sqrt(ell), 2.0):
-            a = eval_theta_numeric(d, y)
-            b = eval_theta_numeric(g, y)
-            assert abs(a.value - b.value) <= max(
-                1e-12 * a.value, a.bound_on_tail + b.bound_on_tail)
+            _assert_two_paths_agree(d, g, y)
+    # the benchmark's two tail probes, in dB from the symmetry point
+    c2 = ThetaDecomposition(build_basis(2, 2, "general"), (Fraction(1),))
+    for d, name, offset in ((c2, "C2", 0.73),
+                            (fixture_decomposition("D4"), "D4", -4.70)):
+        y = 10.0 ** ((10.0 * math.log10(2 ** -0.5) + offset) / 10.0)
+        _assert_two_paths_agree(d, catalog(name).gram, y)
 
 
 def test_symmetry_functional_equation():
@@ -80,9 +92,92 @@ def test_monotone_tail_bound():
     assert bounds[0] >= bounds[1] >= bounds[2]
 
 
-def test_tail_bound_not_met():
+@pytest.fixture
+def enum_calls(monkeypatch):
+    """Counts the enumerations the secrecy module makes."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return theta_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(secrecy, "theta_coefficients", counting)
+    return calls
+
+
+def test_tail_bound_not_met(enum_calls):
+    # far below the symmetry point the dual side certifies at once
+    g = catalog("D4").gram
+    _assert_two_paths_agree(fixture_decomposition("D4"), g, 1e-4)
+    tv = eval_gram_numeric(g, 1e-4, eps=1e-15, budget=10 ** 6)
+    assert tv.terms_used <= 2 and tv.bound_on_tail <= 1e-15 * tv.value
+    # e^(-200*pi) ~ 1e-273: no cutoff up to 200 certifies 1e-300 on
+    # either side at y = 1, and nothing is enumerated
+    del enum_calls[:]
     with pytest.raises(TailBoundNotMet):
-        eval_gram_numeric(catalog("D4").gram, 1e-4, eps=1e-15, budget=10 ** 6)
+        eval_gram_numeric(g, 1.0, eps=1e-300)
+    assert enum_calls == []
+
+
+@pytest.mark.parametrize("name,ell", [("A2", 3), ("D4", 2), ("C2", 2)])
+@pytest.mark.parametrize("samples", [2, 13, 50])
+def test_one_enumeration_per_side(enum_calls, name, ell, samples):
+    g = catalog(name).gram
+    sym = 10.0 * math.log10(ell ** -0.5)
+    for call, most in ((lambda: secrecy_function(g, ell, 0.3), 1),
+                       (lambda: weak_secrecy_gain(g, ell), 1),
+                       (lambda: secrecy_curve(g, ell, (sym - 6, sym + 3),
+                                              samples), 2),
+                       (lambda: secrecy_curve(g, ell, (sym + 1, sym + 4),
+                                              samples), 2),
+                       (lambda: locate_maximum(g, ell), 2),
+                       (lambda: locate_maximum(
+                           g, ell, (sym - 0.25 * samples, sym + 4)), 2)):
+        del enum_calls[:]
+        call()
+        assert 1 <= len(enum_calls) <= most
+
+
+@pytest.mark.parametrize("name,ell", [("A2", 3), ("D4", 2), ("C2", 2)])
+@pytest.mark.parametrize("below,above", [(6.0, 4.0), (0.5, 4.0),
+                                         (6.0, -0.5), (-0.5, 4.0),
+                                         (2.0, 2.0)])
+def test_span_covers_every_point(enum_calls, name, ell, below, above):
+    g = catalog(name).gram
+    sym = 10.0 * math.log10(ell ** -0.5)
+    lo, hi = sym - below, sym + above
+    theta = secrecy._GramTheta(g, 1e-12, 10 ** 8).prepare_span(lo, hi)
+    planned = list(enum_calls)
+    for k in range(401):
+        theta.value(10.0 ** ((lo + (hi - lo) * k / 400) / 10.0))
+    assert enum_calls == planned and len(planned) <= 2
+
+
+def _random_gram(entries, den):
+    """(M M^T + den*I) / den: at least I, so every LDL^T pivot is >= 1."""
+    n = math.isqrt(len(entries))
+    m = [entries[i * n:(i + 1) * n] for i in range(n)]
+    return GramMatrix([[Fraction(sum(a * b for a, b in zip(m[i], m[j]))
+                                 + den * (i == j), den)
+                        for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+           lambda n: st.lists(st.integers(-1, 1), min_size=n * n,
+                              max_size=n * n)),
+       st.integers(1, 3), st.floats(0.25, 4.0),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+def test_proven_tail_bound(entries, den, y, eps):
+    g = _random_gram(entries, den)
+    tv = eval_gram_numeric(g, y, eps)
+    # a primal sum far beyond the primal cutoff
+    a = math.pi * y
+    deep = secrecy._Side(g, False).cutoff(a, eps) + 20
+    ref = math.fsum(k * math.exp(-a * float(m))
+                    for m, k in theta_coefficients(g, deep))
+    assert abs(tv.value - ref) <= tv.bound_on_tail + 1e-15 * tv.value
+    assert tv.bound_on_tail <= eps * tv.value
 
 
 def test_zn_flat():
