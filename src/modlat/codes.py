@@ -94,10 +94,6 @@ class RingElem:
 ALL_ELEMS = tuple(RingElem(a, b) for a in range(3) for b in range(3))
 
 
-def length_of(r: RingElem) -> int:
-    return r.length()
-
-
 @dataclass(frozen=True)
 class CodeOverR:
     """Linear code over R given by generator rows."""

@@ -38,7 +38,7 @@ class EmptyBasis(ModlatError):
 
 
 class SingularSystem(ModlatError):
-    """Coefficient linear system is singular; more theta coefficients needed."""
+    """An exact linear system, such as a decomposition's, is singular."""
 
 
 class InconsistentSurplus(ModlatError):

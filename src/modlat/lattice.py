@@ -11,6 +11,10 @@ while exact integer partial sums give each vector's norm.  The integers
 are int64 while a coordinate cap, derived before the search and checked
 during it, keeps them below 2^62, and Python ints otherwise, so counts
 are exact for every Gram.
+
+Every exact linear solve in the package is `_bareiss`, one fraction-free
+elimination on a matrix scaled to integers: a Gram's positive-definiteness
+check and LDL^T factors, its dual and the decomposition coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import floor, isqrt, lcm
 import numpy as np
 
 from .errors import (BoundTooLarge, NotIntegral, RankDeficient,
-                     UnknownLattice)
+                     SingularSystem, UnknownLattice)
 
 
 class GramMatrix:
@@ -44,12 +48,23 @@ class GramMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        ldl = _ldl(rows)
-        if ldl is None:
+        s, G = _scale_to_integers(rows)
+        try:
+            U, exchanged = _bareiss(G)
+        except SingularSystem:
+            exchanged = True
+        # Sylvester: the pivots U_kk are the leading principal minors of sG
+        if exchanged or any(u[k] <= 0 for k, u in enumerate(U)):
             raise ValueError("Gram matrix is not positive definite")
+        # G = L diag(d) L^T, L_ik = U_ki / U_kk, d_k = U_kk / (s U_(k-1)(k-1))
+        minors = [1] + [u[k] for k, u in enumerate(U)]
+        L = tuple(tuple(Fraction(U[k][i], minors[k + 1]) if k < i
+                        else Fraction(int(k == i)) for k in range(n))
+                  for i in range(n))
+        d = tuple(Fraction(minors[k + 1], s * minors[k]) for k in range(n))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ldl", ldl)
+        object.__setattr__(self, "ldl", (L, d))
 
     def __setattr__(self, *_):
         raise AttributeError("GramMatrix is immutable")
@@ -108,47 +123,56 @@ class GramMatrix:
         return cls(rows)
 
 
-def _ldl(entries):
-    """Exact LDL^T decomposition; None if not positive definite."""
-    n = len(entries)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for j in range(n):
-        s = entries[j][j] - sum(d[k] * L[j][k] ** 2 for k in range(j))
-        if s <= 0:
-            return None
-        d[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = entries[i][j] - sum(d[k] * L[i][k] * L[j][k]
-                                    for k in range(j))
-            L[i][j] = t / s
-    return tuple(map(tuple, L)), tuple(d)
+def _scale_to_integers(rows):
+    """(s, s * rows) for rational rows, with s the lcm of the denominators."""
+    s = lcm(*(x.denominator for row in rows for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row]
+               for row in rows]
+
+
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Reduces integer rows [A | B], A square, to [D * I | D * A^-1 B] with
+    D = +-det A, dividing each update exactly by the previous pivot.  A
+    zero pivot is exchanged for the first nonzero one below it.  Returns
+    the pivot rows as first used and whether a row was exchanged; with
+    no exchange the k-th pivot is the k-th leading principal minor of A.
+    Raises SingularSystem if A is singular.
+    """
+    n = len(rows)
+    pivots = []
+    exchanged = False
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise SingularSystem("singular linear system")
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            exchanged = True
+        pivot = rows[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot[k] * x - f * y) // prev
+                           for x, y in zip(rows[i], pivot)]
+        pivots.append(pivot)
+        prev = pivot[k]
+    return pivots, exchanged
 
 
 def gram_from_generator(rows):
     """Exact M*M^T from rational generator rows; rows must be independent."""
     M = [[Fraction(x) for x in row] for row in rows]
-    m = len(M)
-    # exact rank check by Gaussian elimination on a copy
-    R = [row[:] for row in M]
-    rank = 0
-    ncols = len(M[0]) if M else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, m) if R[r][col]), None)
-        if piv is None:
-            continue
-        R[rank], R[piv] = R[piv], R[rank]
-        for r in range(rank + 1, m):
-            if R[r][col]:
-                f = R[r][col] / R[rank][col]
-                R[r] = [a - f * b for a, b in zip(R[r], R[rank])]
-        rank += 1
-    if rank < m:
-        raise RankDeficient("generator rows are linearly dependent")
-    G = [[sum(a * b for a, b in zip(M[i], M[j])) for j in range(m)]
-         for i in range(m)]
-    return GramMatrix(G)
+    if len({len(row) for row in M}) > 1:
+        raise ValueError("generator rows must have equal length")
+    G = [[sum(a * b for a, b in zip(u, v)) for v in M] for u in M]
+    try:
+        return GramMatrix(G)
+    except ValueError:
+        # M*M^T is positive definite iff the rows are independent
+        raise RankDeficient("generator rows are linearly dependent") from None
 
 
 def hnf_basis(rows):
@@ -227,9 +251,7 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
-    scale = lcm(*(x.denominator for row in gram.entries for x in row))
-    G = [[x.numerator * (scale // x.denominator) for x in row]
-         for row in gram.entries]
+    scale, G = _scale_to_integers(gram.entries)
     qmax = floor(max_norm * scale)
     counts = {0: 1}
     if gram.n:

@@ -17,8 +17,8 @@ from functools import lru_cache
 import json
 
 from . import theta
-from .errors import (EmptyBasis, InconsistentSurplus, SingularSystem,
-                     UnsupportedLevel)
+from .errors import EmptyBasis, InconsistentSurplus, UnsupportedLevel
+from .lattice import _bareiss, _scale_to_integers
 from .qseries import DEFAULT_ORDER, QSeries
 
 _K0 = {1: 4, 2: 2, 3: 1}
@@ -174,22 +174,9 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
     A = [[col.coeff_at(e) for col in cols] for e in exps]
     rhs = [known_map[Fraction(e)] for e in exps]
 
-    # exact Gaussian elimination
-    m = [row[:] + [r] for row, r in zip(A, rhs)]
-    for col in range(t):
-        piv = next((r for r in range(col, t) if m[r][col]), None)
-        if piv is None:
-            raise SingularSystem(
-                "basis expansions are linearly dependent on the supplied "
-                "coefficients; provide more of them")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(t):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    coeffs = tuple(m[r][t] for r in range(t))
+    _, rows = _scale_to_integers([row + [r] for row, r in zip(A, rhs)])
+    _bareiss(rows)
+    coeffs = tuple(Fraction(row[t], row[k]) for k, row in enumerate(rows))
 
     d = ThetaDecomposition(basis, coeffs)
     expansion = expand_decomposition(d, order)

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TailBoundNotMet
-from .lattice import GramMatrix, theta_coefficients
+from .lattice import (GramMatrix, _bareiss, _scale_to_integers,
+                      theta_coefficients)
 from .modform import ThetaDecomposition
 from .theta import FORMULAS
 
@@ -140,27 +141,15 @@ def _dual_gram(gram):
 
     In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
     count of the dual side describes the search the enumerator makes.
-    Fraction-free Gauss-Jordan elimination on [s*G | I], with s the lcm
-    of the denominators, divides every update exactly by the previous
-    pivot and ends at [det(sG) * I | adj(sG)]; G^-1 = s * adj(sG) /
-    det(sG).  The pivots are leading principal minors of a positive
-    definite matrix, so none is zero.
+    Bareiss elimination of [s*G | I], with s the lcm of the denominators,
+    ends at [det(sG) * I | adj(sG)], and G^-1 = s * adj(sG) / det(sG).
     """
     n = gram.n
-    s = math.lcm(*(x.denominator for row in gram.entries for x in row))
-    rows = [[x.numerator * (s // x.denominator) for x in row]
-            + [int(i == j) for j in range(n)]
-            for i, row in enumerate(gram.entries)]
-    prev = 1
-    for k in range(n):
-        pivot = rows[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot[k] * x - f * p) // prev
-                           for x, p in zip(rows[i], pivot)]
-        prev = pivot[k]
-    return GramMatrix([[Fraction(s * x, prev) for x in reversed(row[n:])]
+    s, G = _scale_to_integers(gram.entries)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)]
+    _bareiss(rows)
+    det = rows[0][0] if n else 1
+    return GramMatrix([[Fraction(s * x, det) for x in reversed(row[n:])]
                        for row in reversed(rows)])
 
 

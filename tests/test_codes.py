@@ -6,7 +6,7 @@ from modlat import fixtures
 from modlat.codes import (ALL_ELEMS, CodeOverR, RingElem,
                           check_hermitian_self_dual, construction_a_gram,
                           coset_theta, enumerate_codewords,
-                          length_weight_enumerator, length_of, lwe_pretty,
+                          length_weight_enumerator, lwe_pretty,
                           theta_from_lwe)
 from modlat.errors import EnumerationTooLarge
 from modlat.lattice import theta_coefficients
@@ -19,14 +19,14 @@ def fixture_code():
 
 
 def test_length_table():
-    assert length_of(RingElem(0, 0)) == 0
-    assert length_of(RingElem(1, 0)) == 1
-    assert length_of(RingElem(2, 0)) == 1
-    assert length_of(RingElem(0, 1)) == 2
-    assert length_of(RingElem(0, 2)) == 2
+    assert RingElem(0, 0).length() == 0
+    assert RingElem(1, 0).length() == 1
+    assert RingElem(2, 0).length() == 1
+    assert RingElem(0, 1).length() == 2
+    assert RingElem(0, 2).length() == 2
     for a in (1, 2):
         for b in (1, 2):
-            assert length_of(RingElem(a, b)) == 3
+            assert RingElem(a, b).length() == 3
 
 
 def test_ring_structure():
@@ -39,7 +39,7 @@ def test_ring_structure():
     assert x + (-x) == RingElem(0, 0)
     assert v.conj() == RingElem(0, 2)
     for r in ALL_ELEMS:
-        assert length_of(r) == length_of(r.conj())
+        assert r.length() == r.conj().length()
 
 
 def test_parse_elements():

@@ -15,6 +15,7 @@ from modlat.errors import (BoundTooLarge, NotIntegral, RankDeficient,
 from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog,
                             gram_from_generator, hnf_basis,
                             theta_coefficients)
+from modlat.secrecy import _dual_gram
 
 
 def test_z2_circle_counts():
@@ -62,12 +63,53 @@ def test_determinant_matches_level():
 @pytest.mark.parametrize("entries", [
     [[1, 1], [1, 1]],                # singular
     [[1, 2], [2, 1]],                # indefinite
+    [[0, 1], [1, 0]],                # zero leading minor, nonsingular
     [[0]],
     [[Fraction(-1, 2)]],
 ])
 def test_gram_not_positive_definite_rejected(entries):
     with pytest.raises(ValueError, match="not positive definite"):
         GramMatrix(entries)
+
+
+def _check_exact_factors(gram):
+    """ldl, determinant() and _dual_gram checked against G itself."""
+    n, G = gram.n, gram.entries
+    L, d = gram.ldl
+    assert all(L[i][i] == 1 and not any(L[i][i + 1:]) for i in range(n))
+    assert [[sum(L[i][k] * d[k] * L[j][k] for k in range(n))
+             for j in range(n)] for i in range(n)] == [list(r) for r in G]
+    assert gram.determinant() == prod(d)
+    inv = [row[::-1] for row in _dual_gram(gram).entries[::-1]]
+    assert [[sum(inv[i][k] * G[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)]
+                                   for i in range(n)]
+
+
+@pytest.mark.parametrize("name", [n if n != "Zn" else "Z3"
+                                  for n in CATALOG_NAMES])
+def test_exact_factors_catalog(name):
+    g = catalog(name).gram
+    _check_exact_factors(g)
+    _check_exact_factors(_half(g))
+
+
+@st.composite
+def _pd_grams(draw):
+    """(M M^T + den I) / den for a small square integer M."""
+    n = draw(st.integers(1, 5))
+    den = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    M = draw(st.lists(row, min_size=n, max_size=n))
+    return GramMatrix([[Fraction(sum(a * b for a, b in zip(u, v))
+                                 + den * (i == j), den)
+                        for j, v in enumerate(M)] for i, u in enumerate(M)])
+
+
+@settings(deadline=None)
+@given(_pd_grams())
+def test_exact_factors_property(gram):
+    _check_exact_factors(gram)
 
 
 @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)),
@@ -131,6 +173,11 @@ def test_gram_from_generator():
     assert g.entries == ((Fraction(25),),)
     with pytest.raises(RankDeficient):
         gram_from_generator([[1, 2], [2, 4]])
+    with pytest.raises(RankDeficient):
+        gram_from_generator([[1, 0], [0, 1], [1, 1]])
+    for ragged in ([[1, 0, 0], [0, 1]], [[1, 0], [1]]):
+        with pytest.raises(ValueError, match="equal length"):
+            gram_from_generator(ragged)
 
 
 def test_gram_from_generator_matches_code_lattice():

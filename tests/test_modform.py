@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from modlat.errors import EmptyBasis, InconsistentSurplus, UnsupportedLevel
+from modlat.errors import (EmptyBasis, InconsistentSurplus, SingularSystem,
+                           UnsupportedLevel)
 from modlat import fixtures
 from modlat.lattice import catalog, theta_coefficients
-from modlat.modform import (ThetaDecomposition, build_basis,
+from modlat.modform import (BasisSpec, ThetaDecomposition, build_basis,
                             decomposition_from_fixture, expand_decomposition,
                             solve_coefficients, verify_table)
 from modlat.qseries import first_mismatch
@@ -35,6 +36,15 @@ def test_solve_bw16():
     d = solve_coefficients(basis, known)
     assert d.coeffs == (1, -96)
     assert d.pretty() == "Theta_D4^4 - 96*Delta_16"
+
+
+def test_solve_needs_row_exchange_or_is_singular():
+    known = theta_coefficients(catalog("BW16").gram, 8)
+    # Delta_16 first: its q^0 coefficient is 0, so rows must be exchanged
+    swapped = BasisSpec(2, "even", 16, ((0, 1), (4, 0)))
+    assert solve_coefficients(swapped, known).coeffs == (-96, 1)
+    with pytest.raises(SingularSystem):
+        solve_coefficients(BasisSpec(2, "even", 16, ((4, 0), (4, 0))), known)
 
 
 def test_solve_example_dim8():
