@@ -91,14 +91,20 @@ def _oracle_depth(basis):
     return max(8, 2 * terms if basis.kind == "even" else terms)
 
 
+def _read_gram(args):
+    """The Gram of --gram FILE, JSON or whitespace text; --ell is required."""
+    with open(args.gram) as fh:
+        text = fh.read()
+    g = (lattice.GramMatrix.from_json(text) if text.lstrip().startswith("{")
+         else lattice.GramMatrix.from_text(text))
+    if args.ell is None:
+        raise ModlatError("--ell is required with --gram")
+    return g
+
+
 def cmd_decompose(args):
     if args.gram:
-        with open(args.gram) as fh:
-            text = fh.read()
-        g = (lattice.GramMatrix.from_json(text) if text.lstrip().startswith("{")
-             else lattice.GramMatrix.from_text(text))
-        if args.ell is None:
-            raise ModlatError("--ell is required with --gram")
+        g = _read_gram(args)
         ell, n, kind = args.ell, g.n, args.kind
         basis = modform.build_basis(ell, n, kind)
         known = lattice.theta_coefficients(g, _oracle_depth(basis),
@@ -154,6 +160,11 @@ def cmd_code(args):
 
 
 def _gain_source(args, name):
+    if args.gram:
+        g = _read_gram(args)
+        return g, args.ell, args.n or g.n
+    if name is None:
+        raise ModlatError("a lattice name or --gram FILE is required")
     row, entry = _resolve_lattice(name)
     if row is not None:
         d = modform.decomposition_from_fixture(row)
@@ -172,7 +183,8 @@ def cmd_gain(args):
     src, ell, n = _gain_source(args, args.name)
     chi = secrecy.weak_secrecy_gain(src, ell, n, eps=args.eps)
     _emit(args, ["%.5f" % chi],
-          {"lattice": args.name, "ell": ell, "n": n, "chi_w": chi})
+          {"lattice": args.gram or args.name, "ell": ell, "n": n,
+           "chi_w": chi})
     return 0
 
 
@@ -281,13 +293,15 @@ def build_parser():
     s.set_defaults(func=cmd_code)
 
     s = sub_parser("gain", help="weak secrecy gain")
-    s.add_argument("name")
+    s.add_argument("name", nargs="?", default=None)
+    s.add_argument("--gram", metavar="FILE", default=None)
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--n", type=int, default=None)
     s.set_defaults(func=cmd_gain)
 
     s = sub_parser("curve", help="secrecy function samples")
-    s.add_argument("name")
+    s.add_argument("name", nargs="?", default=None)
+    s.add_argument("--gram", metavar="FILE", default=None)
     s.add_argument("--range", default="-6:3", help="dB range lo:hi")
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--ell", type=int, default=None)

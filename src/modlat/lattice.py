@@ -14,7 +14,8 @@ are exact for every Gram.
 
 Every exact linear solve in the package is `_bareiss`, one fraction-free
 elimination on a matrix scaled to integers: a Gram's positive-definiteness
-check and LDL^T factors, its dual and the decomposition coefficients.
+check and LDL^T factors, its inverse (the dual lattice and the level) and
+the decomposition coefficients.
 """
 
 from __future__ import annotations
@@ -162,6 +163,20 @@ def _bareiss(rows):
     return pivots, exchanged
 
 
+def _inverse(gram):
+    """G^-1 of a GramMatrix exactly, as rows of Fractions.
+
+    Bareiss elimination of [s*G | I], with s the lcm of the denominators,
+    ends at [det(sG) * I | adj(sG)], and G^-1 = s * adj(sG) / det(sG).
+    """
+    n = gram.n
+    s, G = _scale_to_integers(gram.entries)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)]
+    _bareiss(rows)
+    det = rows[0][0] if n else 1
+    return [[Fraction(s * x, det) for x in row[n:]] for row in rows]
+
+
 def gram_from_generator(rows):
     """Exact M*M^T from rational generator rows; rows must be independent."""
     M = [[Fraction(x) for x in row] for row in rows]
@@ -183,6 +198,8 @@ def hnf_basis(rows):
     """
     work = [list(map(int, r)) for r in rows]
     n = len(work[0])
+    if any(len(r) != n for r in work):
+        raise ValueError("generator rows must have equal length")
     basis = []
     for col in range(n):
         live = [r for r in work if r[col]]
@@ -254,7 +271,8 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     scale, G = _scale_to_integers(gram.entries)
     qmax = floor(max_norm * scale)
     counts = {0: 1}
-    if gram.n:
+    # every nonzero vector has a positive integer norm under G'
+    if gram.n and qmax:
         Lq, dq = gram.ldl
         L = np.array([[float(x) for x in row] for row in Lq])
         d = [float(x) for x in dq]

@@ -7,6 +7,11 @@ generator pair (G1, G2) per level is (Theta_E8, Delta_24),
 (Theta_D4, Delta_16), (Theta_A2, Delta_12) for level 1, 2, 3.  The
 "general" shape (level 2 only) uses f1^(k-2i) * Delta_4^i for
 i = 0..floor(k/2), which covers the odd lattices built from codes.
+
+`certified_decomposition` gives a Gram the closed form with a proof:
+an even Gram of level ell and determinant ell^(n/2) has its theta series
+in the same space of modular forms as the even-shape monomials, and the
+Sturm bound says how many exact vector counts fix it there.
 """
 
 from __future__ import annotations
@@ -15,10 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
+from math import lcm
 
 from . import theta
-from .errors import EmptyBasis, InconsistentSurplus, UnsupportedLevel
-from .lattice import _bareiss, _scale_to_integers
+from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
+                     UnsupportedLevel)
+from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse, _scale_to_integers,
+                      theta_coefficients)
 from .qseries import DEFAULT_ORDER, QSeries
 
 _K0 = {1: 4, 2: 2, 3: 1}
@@ -187,6 +195,83 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
                 "wrong level, parity or basis shape for this lattice"
                 % (expansion.coeff_at(e), e, c))
     return d
+
+
+def certified_decomposition(gram, budget=DEFAULT_BUDGET):
+    """Theta of an even ell-modular Gram over the even basis, proven, or None.
+
+    Gate, checked exactly: the Gram G is integral with even diagonal
+    (the lattice L is even), its level N, the least N with N*G^-1
+    integral with even diagonal, is ell in {1, 2, 3}, and det G =
+    ell^(n/2).  A Gram that fails it, a rational one included, gives
+    None.
+
+    Why the gate suffices.  For an even lattice of level N and even
+    dimension n, Theta_L(tau) = sum_x e^(pi*i*tau*x^T G x) is a modular
+    form of weight k = n/2 on Gamma_0(N) with the character
+    chi(d) = ((-1)^k det G / d) (Kronecker symbol; Miyake, "Modular
+    Forms", section 4.9, theta series of quadratic forms).  With N = ell
+    and det G = ell^k that is chi(d) = ((-1)^k ell^k / d), one space
+    M_k(Gamma_0(ell), chi) for every lattice that passes.  The even basis
+    monomials G1^lambda * G2^mu lie in it (Quebbemann, "Modular lattices
+    in Euclidean spaces", 1995):
+      - ell = 1: Theta_E8 (weight 4) and Delta_24 = eta(tau)^24 (weight
+        12) have the trivial character on SL_2(Z); so has Theta_L, as
+        det G = 1 and 8 divides n;
+      - ell = 2: Theta_D4 (weight 2, det 4, chi = (4/d)) and Delta_16 =
+        (eta(tau) eta(2 tau))^8 (weight 8) have the trivial character on
+        odd d; k is even (for odd k, ((-2)^k / d) has conductor 8, which
+        level 2 excludes), so ((-1)^k 2^k / d) = 1 too;
+      - ell = 3: Theta_A2 (weight 1, det 3) has chi = (-3/d) and
+        Delta_12 = (eta(tau) eta(3 tau))^6 (weight 6) the trivial one, so
+        Theta_A2^lambda Delta_12^mu has (-3/d)^lambda; lambda = k - 6 mu
+        has the parity of k, and ((-1)^k 3^k / d) = (-3/d)^k.
+
+    The Sturm depth.  A form in M_k(Gamma_0(ell), chi) whose coefficients
+    at e^(2 pi i tau m) vanish for m <= k [SL_2(Z) : Gamma_0(ell)] / 12 is
+    zero (Sturm, "On the congruence of modular forms", 1987; for a
+    character of order o apply it to the o-th power).  The index is 1 for
+    ell = 1 and ell + 1 for ell = 2, 3.  In this package's nome q =
+    e^(pi i tau) the coefficient at e^(2 pi i tau m) of an even lattice
+    is the count A_2m, so two such forms are equal once their counts
+    agree up to norm 2*floor(n*(ell+1)/24) (ell = 2, 3) or 2*floor(n/24)
+    (ell = 1): norm 4 for K12 and BW16, norm 0 for E8, D4 and A2.
+
+    The counts are enumerated to max(2(t-1), that depth), t the number of
+    basis terms.  `solve_coefficients` fixes the coefficients from the
+    counts at norms 0, 2, ..., 2(t-1) and checks every count up to the
+    depth, so Theta_L minus the decomposition vanishes to the Sturm
+    depth and is zero.  An InconsistentSurplus means Theta_L lies outside
+    the span of the monomials (the span can be smaller than the space:
+    dim M_8(Gamma_0(2)) = 3 against two monomials), and None is
+    returned; so it is if the enumeration needs more than `budget` nodes.
+    """
+    ell = _gate_level(gram)
+    if ell is None:
+        return None
+    n = gram.n
+    basis = build_basis(ell, n, "even")
+    sturm = 2 * (n // 24 if ell == 1 else n * (ell + 1) // 24)
+    depth = max(2 * (len(basis.terms) - 1), sturm)
+    try:
+        return solve_coefficients(
+            basis, theta_coefficients(gram, depth, budget), depth)
+    except (InconsistentSurplus, BoundTooLarge):
+        return None
+
+
+def _gate_level(gram):
+    """ell if the Gram is even of level ell in {1, 2, 3} and det ell^(n/2)."""
+    n = gram.n
+    if not n or n % 2 or not gram.is_integral() or not gram.is_even():
+        return None
+    # N * G^-1 has integral entries and an even diagonal
+    level = lcm(*((x / 2 if i == j else x).denominator
+                  for i, row in enumerate(_inverse(gram))
+                  for j, x in enumerate(row)))
+    if level in (1, 2, 3) and gram.determinant() == level ** (n // 2):
+        return level
+    return None
 
 
 def decomposition_from_fixture(row):

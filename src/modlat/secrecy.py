@@ -5,6 +5,17 @@ The four primitives theta2, theta3, theta4 and eta are summed in
 floats here; every other named form is read from `theta.FORMULAS` by
 `form_numeric`, so the exact and float paths share one formula.
 
+A Gram reaches the secrecy functions by one of three routes, decided
+once per call from the Gram alone and reported as `route` in
+`ThetaValue` and `SecrecyEvaluation`.  An even Gram of level ell in
+{1, 2, 3} and determinant ell^(n/2) whose theta series lies in the span
+of its level's even basis takes "closed_form": `modform.
+certified_decomposition` proves the decomposition from the counts up to
+the Sturm bound, and the value is read from it as from any
+decomposition ("decomposition", the route of a ThetaDecomposition
+input).  Every other Gram takes "primal" or "dual", below;
+`eval_gram_numeric` always does.
+
 The theta series of a Gram G (LDL^T diagonal d) is summed from exact
 norm counts A_m with a proven tail bound.  The Fincke-Pohst count gives
 N(t) <= P(t) = prod_j (2*sqrt(t/d_j) + 1) vectors of norm <= t, so by
@@ -30,13 +41,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .errors import TailBoundNotMet
-from .lattice import (GramMatrix, _bareiss, _scale_to_integers,
-                      theta_coefficients)
-from .modform import ThetaDecomposition
+from .lattice import GramMatrix, _inverse, theta_coefficients
+from .modform import ThetaDecomposition, certified_decomposition
 from .theta import FORMULAS
 
 _EPS_DEFAULT = 1e-12
@@ -103,6 +112,9 @@ class ThetaValue:
     value: float
     bound_on_tail: float
     terms_used: int
+    #: "closed_form" (a Gram's certified decomposition), "primal" or
+    #: "dual" (a Gram's enumerated side), or "decomposition"
+    route: str = "decomposition"
 
 
 def eval_decomposition_numeric(d: ThetaDecomposition, y):
@@ -141,16 +153,8 @@ def _dual_gram(gram):
 
     In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
     count of the dual side describes the search the enumerator makes.
-    Bareiss elimination of [s*G | I], with s the lcm of the denominators,
-    ends at [det(sG) * I | adj(sG)], and G^-1 = s * adj(sG) / det(sG).
     """
-    n = gram.n
-    s, G = _scale_to_integers(gram.entries)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)]
-    _bareiss(rows)
-    det = rows[0][0] if n else 1
-    return GramMatrix([[Fraction(s * x, det) for x in reversed(row[n:])]
-                       for row in reversed(rows)])
+    return GramMatrix([row[::-1] for row in reversed(_inverse(gram))])
 
 
 class _Side:
@@ -248,7 +252,8 @@ class _Side:
         for m, k in zip(self.norms[:used], self.counts[:used]):
             s += k * math.exp(-a * m)
         w = self.scale * y ** (-self.gram.n / 2) if self.dual else 1.0
-        return ThetaValue(w * s, w * self.tail(a, R), used)
+        return ThetaValue(w * s, w * self.tail(a, R), used,
+                          "dual" if self.dual else "primal")
 
 
 class _GramTheta:
@@ -342,7 +347,7 @@ class _GramTheta:
     def value(self, y):
         if self.cubic:
             # the one-dimensional theta factorizes
-            return ThetaValue(theta3_numeric(y) ** self.n, 0.0, 0)
+            return ThetaValue(theta3_numeric(y) ** self.n, 0.0, 0, "primal")
         i, cut = self.plan(y)
         side = self.sides[i]
         if cut[i] > side.depth:  # a point no prepare call planned
@@ -375,13 +380,20 @@ def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT, budget=_BUDGET):
 
 
 def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=_BUDGET):
-    """Theta series value at tau = i*y for a decomposition or a Gram."""
+    """Theta series value at tau = i*y for a decomposition or a Gram.
+
+    A Gram with a certified decomposition is read from it (route
+    "closed_form"); any other Gram is `eval_gram_numeric`.
+    """
     if y <= 0:
         raise ValueError("y must be positive")
     if isinstance(source, ThetaDecomposition):
         return eval_decomposition_numeric(source, y)
     if isinstance(source, GramMatrix):
-        return eval_gram_numeric(source, y, eps, budget)
+        d = certified_decomposition(source, budget)
+        if d is None:
+            return eval_gram_numeric(source, y, eps, budget)
+        return replace(eval_decomposition_numeric(d, y), route="closed_form")
     if isinstance(source, _GramTheta):
         return source.value(y)
     if isinstance(source, str):
@@ -397,6 +409,8 @@ class SecrecyEvaluation:
     theta_reference: float
     terms_used: int
     bound_on_tail: float
+    #: the route of theta_lattice, as in ThetaValue
+    route: str = "decomposition"
 
 
 def _dimension(source, n):
@@ -415,7 +429,7 @@ def secrecy_function(source, ell, y, n=None, eps=_EPS_DEFAULT):
     tl = eval_theta_numeric(source, y, eps)
     ref = theta3_numeric(y, math.sqrt(ell)) ** n
     return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
-                             tl.terms_used, tl.bound_on_tail)
+                             tl.terms_used, tl.bound_on_tail, tl.route)
 
 
 def weak_secrecy_gain(source, ell, n=None, eps=_EPS_DEFAULT):
@@ -437,7 +451,10 @@ def secrecy_curve(source, ell, y_range_db, samples, n=None, eps=_EPS_DEFAULT):
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     ys = [10.0 ** (ydb / 10.0) for ydb in grid]
     if isinstance(source, GramMatrix):
-        source = _GramTheta(source, eps, _BUDGET).prepare(ys)
+        # the route is decided once: a certified decomposition, or both
+        # sides enumerated once
+        source = (certified_decomposition(source, _BUDGET)
+                  or _GramTheta(source, eps, _BUDGET).prepare(ys))
     return [(ydb, secrecy_function(source, ell, y, n, eps).xi)
             for ydb, y in zip(grid, ys)]
 
@@ -458,7 +475,8 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5, n=None,
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
     if isinstance(source, GramMatrix):
-        source = _GramTheta(source, eps, _BUDGET).prepare_span(a, b)
+        source = (certified_decomposition(source, _BUDGET)
+                  or _GramTheta(source, eps, _BUDGET).prepare_span(a, b))
 
     def f(ydb):
         return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), n, eps).xi

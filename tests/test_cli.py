@@ -56,6 +56,20 @@ def test_gain_golden(run):
     assert (code, float(out)) == (0, 1.0)
 
 
+def test_gain_and_curve_from_a_gram_file(run, tmp_path):
+    # BW16's Gram takes its certified closed form, the fixture's polynomial
+    text = tmp_path / "bw16.txt"
+    text.write_text(modlat.catalog("BW16").gram.to_text())
+    js = tmp_path / "bw16.json"
+    js.write_text(modlat.catalog("BW16").gram.to_json())
+    for path in (text, js):
+        assert run("gain", "--gram", str(path), "--ell", "2") == \
+            run("gain", "BW16")
+        assert run("curve", "--gram", str(path), "--ell", "2",
+                   "--samples", "7") == run("curve", "BW16", "--samples", "7")
+    assert main(["gain", "--gram", str(text)]) == 2
+
+
 def test_curve_csv_shape(run):
     code, out = run("curve", "BW16", "--range", "-6:3", "--samples", "31",
                     "--format", "csv")
@@ -107,6 +121,9 @@ def test_out_file(run, tmp_path):
     "expand Theta_D4 --order 0",
     "expand Theta_D4 --order x",
     "decompose --gram /nonexistent --ell 2",
+    "gain --gram /nonexistent --ell 2",
+    "curve --gram /nonexistent --ell 2",
+    "gain",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv.split()) == 2

@@ -198,6 +198,14 @@ def test_hnf_basis_squares_redundant_rows():
     assert g.determinant() == 4  # index-2 sublattice of Z^2... checkerboard
 
 
+def test_hnf_basis_ragged_rows():
+    # as in gram_from_generator: neither a short first row nor a short
+    # later one may be read as a shorter or padded row
+    for ragged in ([[1], [0, 1]], [[1, 0], [1]]):
+        with pytest.raises(ValueError, match="equal length"):
+            hnf_basis(ragged)
+
+
 def test_unknown_lattice():
     with pytest.raises(UnknownLattice):
         catalog("Leech")

@@ -5,9 +5,10 @@ import pytest
 
 from modlat.errors import (EmptyBasis, InconsistentSurplus, SingularSystem,
                            UnsupportedLevel)
-from modlat import fixtures
-from modlat.lattice import catalog, theta_coefficients
+from modlat import fixtures, modform
+from modlat.lattice import GramMatrix, catalog, theta_coefficients
 from modlat.modform import (BasisSpec, ThetaDecomposition, build_basis,
+                            certified_decomposition,
                             decomposition_from_fixture, expand_decomposition,
                             solve_coefficients, verify_table)
 from modlat.qseries import first_mismatch
@@ -142,3 +143,81 @@ def test_decomposition_serde_round_trip():
     assert back.basis == d.basis
     assert d.pretty() == \
         "Theta_A2^12 - 72*Theta_A2^6*Delta_12 - 216*Delta_12^2"
+
+
+def _direct_sum(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[k + i][k:k + len(row)] = row
+        k += len(g)
+    return GramMatrix(out)
+
+
+@pytest.mark.parametrize("name,fixture", [
+    ("E8", None), ("D4", "D4"), ("A2", "A2"), ("K12", "K12"),
+    ("BW16", "BW16")])
+def test_certified_decomposition_of_even_modular_grams(name, fixture):
+    d = certified_decomposition(catalog(name).gram)
+    if fixture is None:  # E8: Theta_E8 itself, level 1
+        assert (d.basis, d.coeffs) == (build_basis(1, 8, "even"), (1,))
+    else:
+        assert d == decomposition_from_fixture(fixtures.table_row(fixture))
+
+
+def _entries(name):
+    return [list(row) for row in catalog(name).gram.entries]
+
+
+@pytest.mark.parametrize("gram", [
+    # odd: C2 and ExampleDim8 (level 4 too), and I_8 + 2*E8, which is
+    # odd alone: level 2 and det 2^8 = 2^(16/2)
+    catalog("C2").gram, catalog("ExampleDim8").gram,
+    _direct_sum([[int(i == j) for j in range(8)] for i in range(8)],
+                [[2 * x for x in row] for row in _entries("E8")]),
+    # level 4 alone: 2*I_2 is even with det 4 = 4^(2/2)
+    GramMatrix([[2, 0], [0, 2]]),
+    # det alone: E8 + D4 is even of level 2, det 4 != 2^6
+    _direct_sum(_entries("E8"), _entries("D4")),
+    # rational, refused without NotIntegral
+    GramMatrix([[Fraction(x, 2) for x in row] for row in _entries("D4")]),
+])
+def test_certified_decomposition_gate(monkeypatch, gram):
+    calls = []
+    monkeypatch.setattr(modform, "theta_coefficients",
+                        lambda *a: calls.append(a))
+    assert certified_decomposition(gram) is None
+    assert calls == []  # refused before anything is enumerated
+
+
+def test_gate_conditions_fail_one_at_a_time():
+    # the inputs above: the level of G is the least N with N*G^-1
+    # integral with an even diagonal
+    i8_2e8 = _direct_sum([[int(i == j) for j in range(8)] for i in range(8)],
+                         [[2 * x for x in row] for row in _entries("E8")])
+    e8_d4 = _direct_sum(_entries("E8"), _entries("D4"))
+    assert not i8_2e8.is_even() and i8_2e8.determinant() == 2 ** 8
+    assert e8_d4.is_even() and e8_d4.determinant() == 4
+    assert modform._gate_level(i8_2e8) is None
+    assert modform._gate_level(e8_d4) is None
+    assert [modform._gate_level(catalog(name).gram)
+            for name in ("E8", "D4", "A2", "K12", "BW16")] == [1, 2, 3, 3, 2]
+
+
+def test_certified_decomposition_checks_to_the_sturm_depth(monkeypatch):
+    # BW16: two basis terms fixed by A_0 and A_2; the Sturm depth
+    # 2*floor(16*3/24) = 4 leaves A_4 as the check, and dim M_8(Gamma_0(2))
+    # = 3 exceeds the span's 2, so a count there can contradict it
+    g = catalog("BW16").gram
+    depths = []
+
+    def altered(gram, max_norm, budget):
+        depths.append(max_norm)
+        return [(m, c + (m == 4)) for m, c in theta_coefficients(
+            gram, max_norm, budget)]
+
+    monkeypatch.setattr(modform, "theta_coefficients", altered)
+    assert certified_decomposition(g) is None
+    assert depths == [4]

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlat import fixtures, secrecy
+from modlat import fixtures, modform, secrecy
 from modlat.errors import TailBoundNotMet
 from modlat.lattice import GramMatrix, catalog, theta_coefficients
 from modlat.modform import ThetaDecomposition, build_basis, \
@@ -47,8 +48,9 @@ def test_large_y_limit():
 
 
 def _assert_two_paths_agree(d, g, y):
+    # the enumeration itself, whatever route eval_theta_numeric takes
     a = eval_theta_numeric(d, y)
-    b = eval_theta_numeric(g, y)
+    b = eval_gram_numeric(g, y)
     assert abs(a.value - b.value) <= max(
         1e-12 * a.value, a.bound_on_tail + b.bound_on_tail), y
 
@@ -121,7 +123,12 @@ def test_tail_bound_not_met(enum_calls):
 
 @pytest.mark.parametrize("name,ell", [("A2", 3), ("D4", 2), ("C2", 2)])
 @pytest.mark.parametrize("samples", [2, 13, 50])
-def test_one_enumeration_per_side(enum_calls, name, ell, samples):
+def test_one_enumeration_per_side(monkeypatch, enum_calls, name, ell,
+                                  samples):
+    # A2 and D4 have a certified closed form; refuse it, so that every
+    # call below takes the primal/dual path
+    monkeypatch.setattr(secrecy, "certified_decomposition",
+                        lambda gram, budget: None)
     g = catalog(name).gram
     sym = 10.0 * math.log10(ell ** -0.5)
     for call, most in ((lambda: secrecy_function(g, ell, 0.3), 1),
@@ -151,6 +158,58 @@ def test_span_covers_every_point(enum_calls, name, ell, below, above):
     for k in range(401):
         theta.value(10.0 ** ((lo + (hi - lo) * k / 400) / 10.0))
     assert enum_calls == planned and len(planned) <= 2
+
+
+@pytest.mark.parametrize("name,ell", [("E8", 1), ("D4", 2), ("A2", 3),
+                                      ("K12", 3), ("BW16", 2)])
+def test_closed_form_route(monkeypatch, enum_calls, name, ell):
+    g = catalog(name).gram
+    d = modform.certified_decomposition(g)
+    sturm = []
+    monkeypatch.setattr(modform, "theta_coefficients",
+                        lambda gram, depth, budget: sturm.append(depth)
+                        or theta_coefficients(gram, depth, budget))
+    for y in (0.05, 1.0 / math.sqrt(ell), 3.0):
+        assert eval_theta_numeric(g, y) == \
+            replace(eval_theta_numeric(d, y), route="closed_form")
+        ev = secrecy_function(g, ell, y)
+        assert ev.route == "closed_form"
+        assert ev.xi == secrecy_function(d, ell, y).xi
+    # one enumeration to the Sturm depth per call, none on either side
+    del sturm[:]
+    sym = 10.0 * math.log10(ell ** -0.5)
+    assert secrecy_curve(g, ell, (sym - 3, sym + 3), 7) == \
+        secrecy_curve(d, ell, (sym - 3, sym + 3), 7)
+    assert locate_maximum(g, ell) == locate_maximum(d, ell)
+    assert weak_secrecy_gain(g, ell) == weak_secrecy_gain(d, ell)
+    assert sturm == [4 if name in ("K12", "BW16") else 0] * 3
+    assert enum_calls == []
+
+
+@pytest.mark.parametrize("name", ["K12", "BW16"])
+def test_closed_form_within_a_node_budget(name):
+    # the enumeration needs about 1e9 vectors on either side; the
+    # certificate needs the counts to norm 4
+    row = fixtures.table_row(name)
+    g = catalog(name).gram
+    tv = eval_theta_numeric(g, 1.0 / math.sqrt(row.ell), budget=2 * 10 ** 6)
+    chi = theta3_numeric(1.0) ** row.dim / tv.value
+    assert tv.route == "closed_form"
+    assert chi == weak_secrecy_gain(fixture_decomposition(name), row.ell)
+    assert abs(chi - row.chi_w) < 1e-5
+
+
+@pytest.mark.parametrize("gram", [
+    catalog("C2").gram, catalog("ExampleDim8").gram,
+    GramMatrix([[2, 0], [0, 2]]),
+    GramMatrix([[Fraction(x, 2) for x in row]
+                for row in catalog("D4").gram.entries])])
+@pytest.mark.parametrize("y", [0.3, 1.0, 2.0])
+def test_gate_refused_grams_are_enumerated(gram, y):
+    tv = eval_theta_numeric(gram, y)
+    assert tv.route in ("primal", "dual")
+    assert tv == eval_gram_numeric(gram, y)
+    assert secrecy_function(gram, 2, y).route == tv.route
 
 
 def _random_gram(entries, den):
