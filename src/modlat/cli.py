@@ -9,6 +9,12 @@ Subcommands:
   tables     recompute the reference tables and diff against the shipped
              values
   catalog    list shipped lattice and form names
+
+decompose, gain and curve take a lattice as a table row name (its
+shipped decomposition), a catalog name, Z<n>, or --gram FILE (a Gram).
+The level ell, the dimension n and the default basis shape are read
+from the lattice: a row's from its basis; a Gram's ell from det G =
+ell^(n/2), its shape "even" for an even Gram and "general" otherwise.
 """
 
 from __future__ import annotations
@@ -30,17 +36,12 @@ def _emit(args, pretty_lines, payload):
         text = "\n".join(pretty_lines) + "\n"
     elif fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:  # csv
+    else:  # csv; every payload is a dict or a non-empty list of dicts
         rows = payload if isinstance(payload, list) else [payload]
-        cols = sorted(rows[0]) if rows and isinstance(rows[0], dict) else None
-        lines = []
-        if cols:
-            lines.append(",".join(cols))
-            for r in rows:
-                lines.append(",".join(str(r[c]) for c in cols))
-        else:
-            for r in rows:
-                lines.append(",".join(str(x) for x in r))
+        cols = sorted(rows[0])
+        lines = [",".join(cols)]
+        for r in rows:
+            lines.append(",".join(str(r[c]) for c in cols))
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -49,21 +50,29 @@ def _emit(args, pretty_lines, payload):
         sys.stdout.write(text)
 
 
-def _resolve_lattice(name):
-    """Return (TableRow or None, CatalogEntry or None) for a CLI name."""
-    row = None
+def _lattice(name, gram_file=None):
+    """(source, ell, n) for the lattice a command names.
+
+    A table row gives its shipped ThetaDecomposition, with the level and
+    dimension of its basis.  A catalog name (Z<n> included) or a Gram
+    file gives a GramMatrix, with ell from `lattice.ell_from_det`.
+    """
+    if gram_file:
+        with open(gram_file) as fh:
+            text = fh.read()
+        g = (lattice.GramMatrix.from_json(text)
+             if text.lstrip().startswith("{")
+             else lattice.GramMatrix.from_text(text))
+        return g, lattice.ell_from_det(g), g.n
+    if name is None:
+        raise ModlatError("a lattice name or --gram FILE is required")
     try:
         row = fixtures.table_row(name)
     except KeyError:
-        pass
-    entry = None
-    cat_name = row.catalog_name if row else name
-    if cat_name:
-        try:
-            entry = lattice.catalog(cat_name)
-        except ModlatError:
-            pass
-    return row, entry
+        entry = lattice.catalog(name)
+        return entry.gram, entry.ell, entry.gram.n
+    d = modform.decomposition_from_fixture(row)
+    return d, d.basis.ell, d.basis.n
 
 
 def cmd_expand(args):
@@ -71,16 +80,12 @@ def cmd_expand(args):
     if args.name in theta.FORM_NAMES:
         s = theta.expand(args.name, order)
     else:
-        row, entry = _resolve_lattice(args.name)
-        if row is not None:
-            s = modform.expand_decomposition(
-                modform.decomposition_from_fixture(row), order)
-        elif entry is not None:
-            pairs = lattice.theta_coefficients(entry.gram, order - 1,
-                                               args.budget)
-            s = QSeries.from_terms(pairs, order)
+        src, _, _ = _lattice(args.name)
+        if isinstance(src, modform.ThetaDecomposition):
+            s = modform.expand_decomposition(src, order)
         else:
-            raise ModlatError("unknown form or lattice %r" % args.name)
+            pairs = lattice.theta_coefficients(src, order - 1, args.budget)
+            s = QSeries.from_terms(pairs, order)
     _emit(args, [str(s)], s.to_json_dict())
     return 0
 
@@ -91,42 +96,18 @@ def _oracle_depth(basis):
     return max(8, 2 * terms if basis.kind == "even" else terms)
 
 
-def _read_gram(args):
-    """The Gram of --gram FILE, JSON or whitespace text; --ell is required."""
-    with open(args.gram) as fh:
-        text = fh.read()
-    g = (lattice.GramMatrix.from_json(text) if text.lstrip().startswith("{")
-         else lattice.GramMatrix.from_text(text))
-    if args.ell is None:
-        raise ModlatError("--ell is required with --gram")
-    return g
-
-
 def cmd_decompose(args):
-    if args.gram:
-        g = _read_gram(args)
-        ell, n, kind = args.ell, g.n, args.kind
-        basis = modform.build_basis(ell, n, kind)
-        known = lattice.theta_coefficients(g, _oracle_depth(basis),
-                                           args.budget)
-        d = modform.solve_coefficients(basis, known)
+    src, ell, n = _lattice(args.name, args.gram)
+    if isinstance(src, modform.ThetaDecomposition):
+        basis = modform.build_basis(ell, n, args.kind or src.basis.kind)
+        ref = modform.expand_decomposition(src)
+        known = [(e, ref.coeff_at(e)) for e in range(9)]
     else:
-        row, entry = _resolve_lattice(args.name)
-        if row is None and entry is None:
-            raise ModlatError("unknown lattice %r" % args.name)
-        ell = args.ell or (row.ell if row else entry.ell)
-        kind = args.kind or (row.kind if row else "even")
-        n = row.dim if row else entry.gram.n
+        kind = args.kind or ("even" if src.is_even() else "general")
         basis = modform.build_basis(ell, n, kind)
-        if entry is not None:
-            known = lattice.theta_coefficients(entry.gram,
-                                               _oracle_depth(basis),
-                                               args.budget)
-        else:
-            ref = modform.expand_decomposition(
-                modform.decomposition_from_fixture(row))
-            known = [(e, ref.coeff_at(e)) for e in range(9)]
-        d = modform.solve_coefficients(basis, known)
+        known = lattice.theta_coefficients(src, _oracle_depth(basis),
+                                           args.budget)
+    d = modform.solve_coefficients(basis, known)
     _emit(args, [d.pretty()], d.to_json_dict())
     return 0
 
@@ -159,29 +140,9 @@ def cmd_code(args):
     return 0
 
 
-def _gain_source(args, name):
-    if args.gram:
-        g = _read_gram(args)
-        return g, args.ell, args.n or g.n
-    if name is None:
-        raise ModlatError("a lattice name or --gram FILE is required")
-    row, entry = _resolve_lattice(name)
-    if row is not None:
-        d = modform.decomposition_from_fixture(row)
-        return d, row.ell, row.dim
-    if entry is not None:
-        n = args.n or entry.gram.n
-        return entry.gram, args.ell or entry.ell, n
-    if name == "Zn":
-        if not args.n:
-            raise ModlatError("Zn needs --n")
-        return lattice.catalog("Z%d" % args.n).gram, 1, args.n
-    raise ModlatError("unknown lattice %r" % name)
-
-
 def cmd_gain(args):
-    src, ell, n = _gain_source(args, args.name)
-    chi = secrecy.weak_secrecy_gain(src, ell, n, eps=args.eps)
+    src, ell, n = _lattice(args.name, args.gram)
+    chi = secrecy.weak_secrecy_gain(src, ell, eps=args.eps)
     _emit(args, ["%.5f" % chi],
           {"lattice": args.gram or args.name, "ell": ell, "n": n,
            "chi_w": chi})
@@ -189,9 +150,9 @@ def cmd_gain(args):
 
 
 def cmd_curve(args):
-    src, ell, n = _gain_source(args, args.name)
+    src, ell, _ = _lattice(args.name, args.gram)
     lo, hi = (float(x) for x in args.range.split(":"))
-    pts = secrecy.secrecy_curve(src, ell, (lo, hi), args.samples, n,
+    pts = secrecy.secrecy_curve(src, ell, (lo, hi), args.samples,
                                 eps=args.eps)
     payload = [{"y_dB": p[0], "xi": p[1]} for p in pts]
     _emit(args, ["%.6f %.9f" % p for p in pts], payload)
@@ -263,7 +224,7 @@ def build_parser():
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty")
     common.add_argument("--out", metavar="FILE", default=None)
-    common.add_argument("--eps", type=float, default=1e-12)
+    common.add_argument("--eps", type=float, default=secrecy._EPS_DEFAULT)
     common.add_argument("--budget", type=int, default=lattice.DEFAULT_BUDGET)
 
     p = argparse.ArgumentParser(prog="modlat", description=__doc__,
@@ -281,7 +242,6 @@ def build_parser():
     s = sub_parser("decompose", help="solve a theta decomposition")
     s.add_argument("name", nargs="?", default=None)
     s.add_argument("--gram", metavar="FILE", default=None)
-    s.add_argument("--ell", type=int, choices=(1, 2, 3), default=None)
     s.add_argument("--kind", choices=("even", "general"), default=None)
     s.set_defaults(func=cmd_decompose)
 
@@ -295,8 +255,6 @@ def build_parser():
     s = sub_parser("gain", help="weak secrecy gain")
     s.add_argument("name", nargs="?", default=None)
     s.add_argument("--gram", metavar="FILE", default=None)
-    s.add_argument("--ell", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
     s.set_defaults(func=cmd_gain)
 
     s = sub_parser("curve", help="secrecy function samples")
@@ -304,8 +262,6 @@ def build_parser():
     s.add_argument("--gram", metavar="FILE", default=None)
     s.add_argument("--range", default="-6:3", help="dB range lo:hi")
     s.add_argument("--samples", type=int, default=200)
-    s.add_argument("--ell", type=int, default=None)
-    s.add_argument("--n", type=int, default=None)
     s.set_defaults(func=cmd_curve)
 
     s = sub_parser("tables", help="recompute a reference table")

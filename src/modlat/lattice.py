@@ -27,7 +27,7 @@ from math import floor, isqrt, lcm
 
 import numpy as np
 
-from .errors import (BoundTooLarge, NotIntegral, RankDeficient,
+from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
                      SingularSystem, UnknownLattice)
 
 
@@ -434,6 +434,30 @@ def _tally(tally, norms):
 # catalog
 
 
+def ell_from_det(gram: GramMatrix):
+    """The integer ell with ell^n = det(G)^2, n the dimension.
+
+    An ell-modular lattice has det G = ell^(n/2) (Quebbemann, "Modular
+    lattices in Euclidean spaces", 1995), and the secrecy function
+    compares it with the cubic lattice of the same volume, scaled by
+    sqrt(ell).  A Gram with no such integer raises ModlatError.
+    """
+    det, n = gram.determinant(), gram.n
+    if n and det.denominator == 1:
+        # integer n-th root of det^2 by Newton's method from above
+        N = det.numerator ** 2
+        r = 1 << -(-N.bit_length() // n)
+        while True:
+            s = ((n - 1) * r + N // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+        if r ** n == N:
+            return r
+    raise ModlatError("no integer ell with ell^n = det^2 for det %s, n = %d"
+                      % (det, n))
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -443,10 +467,10 @@ class CatalogEntry:
     source: str  # "paper" | "derived"
 
 
-def _entry(name, gram, ell, source):
-    g = GramMatrix(gram) if not isinstance(gram, GramMatrix) else gram
+def _entry(name, gram, source):
+    g = GramMatrix(gram)
     parity = "even" if g.is_even() else "odd"
-    return CatalogEntry(name, g, ell, parity, source)
+    return CatalogEntry(name, g, ell_from_det(g), parity, source)
 
 
 def _zn(n):
@@ -486,26 +510,22 @@ def catalog(name):
     """Named lattice lookup.  Zn is available for any n as e.g. "Z16"."""
     from . import fixtures
 
-    if name.startswith("Z") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 1:
-            raise UnknownLattice(name)
-        return _entry(name, _zn(n), 1, "derived")
+    if name.startswith("Z") and name[1:].isdigit() and int(name[1:]) >= 1:
+        return _entry(name, _zn(int(name[1:])), "derived")
     table = {
-        "A2": (_A2, 3, "derived"),
-        "D4": (_D4, 2, "derived"),
-        "E8": (_E8, 1, "derived"),
-        "C1": ([[1]], 1, "derived"),
-        "C2": ([[1, 0], [0, 2]], 2, "derived"),
-        "C3": ([[1, 0], [0, 3]], 3, "derived"),
-        "K12": (fixtures.K12_GRAM, 3, "derived"),
-        "BW16": (fixtures.BW16_GRAM, 2, "derived"),
-        "ExampleDim8": (EXAMPLE_DIM8, 2, "paper"),
+        "A2": (_A2, "derived"),
+        "D4": (_D4, "derived"),
+        "E8": (_E8, "derived"),
+        "C1": ([[1]], "derived"),
+        "C2": ([[1, 0], [0, 2]], "derived"),
+        "C3": ([[1, 0], [0, 3]], "derived"),
+        "K12": (fixtures.K12_GRAM, "derived"),
+        "BW16": (fixtures.BW16_GRAM, "derived"),
+        "ExampleDim8": (EXAMPLE_DIM8, "paper"),
     }
     if name not in table:
         raise UnknownLattice("unknown lattice %r" % name)
-    gram, ell, source = table[name]
-    return _entry(name, gram, ell, source)
+    return _entry(name, *table[name])
 
 
 CATALOG_NAMES = ("Zn", "A2", "D4", "E8", "C1", "C2", "C3", "K12", "BW16",

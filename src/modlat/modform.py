@@ -280,13 +280,14 @@ def decomposition_from_fixture(row):
     return ThetaDecomposition(basis, tuple(Fraction(c) for c in row.coeffs))
 
 
-def verify_table(which, order=Fraction(10), oracle_depth=8):
+def verify_table(which):
     """Structural checks of a fixture table's decomposition polynomials.
 
-    For each row: constant term 1, non-negative integer coefficients,
-    parity (even rows have no odd-exponent terms), and agreement with
-    the enumeration oracle where a catalog Gram is shipped.  Returns a
-    list of (row name, ok, list of failure messages).
+    For each row, up to q^9: constant term 1, non-negative integer
+    coefficients, parity (even rows have no odd-exponent terms), and
+    agreement with the enumeration oracle to norm 8 where a catalog Gram
+    is shipped.  Returns a list of (row name, ok, list of failure
+    messages).
     """
     from . import fixtures, lattice
 
@@ -295,7 +296,7 @@ def verify_table(which, order=Fraction(10), oracle_depth=8):
     for row in table:
         problems = []
         d = decomposition_from_fixture(row)
-        s = expand_decomposition(d, order)
+        s = expand_decomposition(d, 10)
         if s.coeff_at(0) != 1:
             problems.append("constant term %s != 1" % s.coeff_at(0))
         for e, c in s.terms():
@@ -305,7 +306,7 @@ def verify_table(which, order=Fraction(10), oracle_depth=8):
                 problems.append("odd-exponent term q^%s in even lattice" % e)
         if row.catalog_name:
             entry = lattice.catalog(row.catalog_name)
-            for m, cnt in lattice.theta_coefficients(entry.gram, oracle_depth):
+            for m, cnt in lattice.theta_coefficients(entry.gram, 8):
                 if m < s.trunc and s.coeff_at(m) != cnt:
                     problems.append("oracle A_%s = %d but expansion has %s"
                                     % (m, cnt, s.coeff_at(m)))

@@ -44,12 +44,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import TailBoundNotMet
-from .lattice import GramMatrix, _inverse, theta_coefficients
+from .lattice import DEFAULT_BUDGET, GramMatrix, _inverse, theta_coefficients
 from .modform import ThetaDecomposition, certified_decomposition
 from .theta import FORMULAS
 
 _EPS_DEFAULT = 1e-12
-_BUDGET = 10 ** 8
 
 
 def theta3_numeric(y, scale=1.0):
@@ -355,7 +354,8 @@ class _GramTheta:
         return side.read(y, cut[i])
 
 
-def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT, budget=_BUDGET):
+def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
+                      budget=DEFAULT_BUDGET):
     """Theta_L(i*y) from one enumeration, with a proven tail bound.
 
     The value is w(y) * sum_{m <= R} A_m e^(-a*m) on one side of the
@@ -379,7 +379,7 @@ def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT, budget=_BUDGET):
     return _GramTheta(gram, eps, budget).prepare([y]).value(y)
 
 
-def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=_BUDGET):
+def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):
     """Theta series value at tau = i*y for a decomposition or a Gram.
 
     A Gram with a certified decomposition is read from it (route
@@ -413,73 +413,78 @@ class SecrecyEvaluation:
     route: str = "decomposition"
 
 
-def _dimension(source, n):
-    if n is not None:
-        return n
+def _dimension(source):
     if isinstance(source, ThetaDecomposition):
         return source.basis.n
-    if isinstance(source, GramMatrix):
+    if isinstance(source, (GramMatrix, _GramTheta)):
         return source.n
-    raise ValueError("dimension required for this source")
+    raise TypeError("unsupported secrecy source %r" % (source,))
 
 
-def secrecy_function(source, ell, y, n=None, eps=_EPS_DEFAULT):
-    """Xi at tau = i*y: reference theta over lattice theta."""
-    n = _dimension(source, n)
+def secrecy_function(source, ell, y, eps=_EPS_DEFAULT):
+    """Xi at tau = i*y: reference theta over lattice theta.
+
+    `source` is a ThetaDecomposition or a GramMatrix of an ell-modular
+    lattice; the dimension n of the cubic reference is read from it.
+    """
+    n = _dimension(source)
     tl = eval_theta_numeric(source, y, eps)
     ref = theta3_numeric(y, math.sqrt(ell)) ** n
     return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
                              tl.terms_used, tl.bound_on_tail, tl.route)
 
 
-def weak_secrecy_gain(source, ell, n=None, eps=_EPS_DEFAULT):
-    """Xi at the symmetry point y = 1/sqrt(ell).
+def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT):
+    """Xi at the symmetry point y = 1/sqrt(ell), n read from `source`.
 
     The reference simplifies there: theta3(sqrt(ell)*i/sqrt(ell)) = theta3(i).
     """
-    n = _dimension(source, n)
+    n = _dimension(source)
     tl = eval_theta_numeric(source, 1.0 / math.sqrt(ell), eps)
     return theta3_numeric(1.0) ** n / tl.value
 
 
-def secrecy_curve(source, ell, y_range_db, samples, n=None, eps=_EPS_DEFAULT):
-    """Sample Xi on a uniform dB grid; returns a list of (y_dB, xi)."""
+def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT):
+    """Sample Xi on a uniform dB grid; returns a list of (y_dB, xi).
+
+    `source` is as for `secrecy_function`.
+    """
     lo, hi = y_range_db
     if not (lo < hi and samples >= 2):
         raise ValueError("need lo < hi and samples >= 2")
-    n = _dimension(source, n)
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     ys = [10.0 ** (ydb / 10.0) for ydb in grid]
     if isinstance(source, GramMatrix):
         # the route is decided once: a certified decomposition, or both
         # sides enumerated once
-        source = (certified_decomposition(source, _BUDGET)
-                  or _GramTheta(source, eps, _BUDGET).prepare(ys))
-    return [(ydb, secrecy_function(source, ell, y, n, eps).xi)
+        source = (certified_decomposition(source, DEFAULT_BUDGET)
+                  or _GramTheta(source, eps, DEFAULT_BUDGET).prepare(ys))
+    return [(ydb, secrecy_function(source, ell, y, eps).xi)
             for ydb, y in zip(grid, ys)]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5, n=None,
+def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
                    eps=_EPS_DEFAULT):
     """Golden-section search for the maximum of Xi on the dB axis.
 
-    Returns (y_star, xi_star) with y_star in linear units.  The default
-    range is 3 dB either side of the symmetry point.
+    `source` is as for `secrecy_function`.  Returns (y_star, xi_star) with
+    y_star in linear units.  The default range is 3 dB either side of the
+    symmetry point.
     """
-    n = _dimension(source, n)
     if search_range_db is None:
         c = 10.0 * math.log10(ell ** -0.5)
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
     if isinstance(source, GramMatrix):
-        source = (certified_decomposition(source, _BUDGET)
-                  or _GramTheta(source, eps, _BUDGET).prepare_span(a, b))
+        source = (certified_decomposition(source, DEFAULT_BUDGET)
+                  or _GramTheta(source, eps, DEFAULT_BUDGET)
+                  .prepare_span(a, b))
 
     def f(ydb):
-        return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), n, eps).xi
+        return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), eps).xi
 
     h = b - a
     c1 = b - _INV_PHI * h

@@ -28,13 +28,27 @@ def test_expand_golden(run):
 
 
 def test_decompose_golden(run):
-    code, out = run("decompose", "BW16", "--ell", "2", "--kind", "even")
+    code, out = run("decompose", "BW16", "--kind", "even")
     assert (code, out) == (0, "Theta_D4^4 - 96*Delta_16\n")
-    code, out = run("decompose", "ExampleDim8", "--ell", "2",
-                    "--kind", "general")
+    code, out = run("decompose", "ExampleDim8", "--kind", "general")
     assert (code, out) == (0, "f1^4 - 8*f1^2*Delta_4\n")
-    code, out = run("decompose", "A2", "--ell", "3", "--kind", "even")
+    code, out = run("decompose", "A2", "--kind", "even")
     assert (code, out) == (0, "Theta_A2\n")
+    # BW16 also decomposes in the level-2 general shape
+    code, out = run("decompose", "BW16", "--kind", "general")
+    assert (code, out) == (0, "f1^8 - 16*f1^6*Delta_4 - 256*f1^2*Delta_4^3"
+                              " + 256*Delta_4^4\n")
+
+
+def test_decompose_reads_the_shape_from_the_lattice(run, tmp_path):
+    # ell from det G = ell^(n/2); "even" for an even Gram, else "general"
+    text = tmp_path / "bw16.txt"
+    text.write_text(modlat.catalog("BW16").gram.to_text())
+    assert run("decompose", "--gram", str(text)) == \
+        (0, "Theta_D4^4 - 96*Delta_16\n")
+    assert run("decompose", "ExampleDim8") == \
+        (0, "f1^4 - 8*f1^2*Delta_4\n")
+    assert run("decompose", "C2") == (0, "f1\n")
 
 
 def test_code_golden(run):
@@ -52,7 +66,7 @@ def test_gain_golden(run):
     code, out = run("gain", "BW16")
     assert code == 0
     assert abs(float(out) - 2.20564) < 1e-5
-    code, out = run("gain", "Zn", "--n", "16")
+    code, out = run("gain", "Z16")
     assert (code, float(out)) == (0, 1.0)
 
 
@@ -63,11 +77,38 @@ def test_gain_and_curve_from_a_gram_file(run, tmp_path):
     js = tmp_path / "bw16.json"
     js.write_text(modlat.catalog("BW16").gram.to_json())
     for path in (text, js):
-        assert run("gain", "--gram", str(path), "--ell", "2") == \
-            run("gain", "BW16")
-        assert run("curve", "--gram", str(path), "--ell", "2",
-                   "--samples", "7") == run("curve", "BW16", "--samples", "7")
-    assert main(["gain", "--gram", str(text)]) == 2
+        assert run("gain", "--gram", str(path)) == run("gain", "BW16")
+        assert run("curve", "--gram", str(path), "--samples", "7") == \
+            run("curve", "BW16", "--samples", "7")
+
+
+def test_gain_refuses_a_gram_with_no_integer_ell(capsys, tmp_path):
+    # E8 + D4: det 4 and n = 12, so det^2 is no 12th power
+    e8, d4 = (modlat.catalog(name).gram.entries for name in ("E8", "D4"))
+    path = tmp_path / "e8_d4.txt"
+    path.write_text(modlat.GramMatrix(
+        [list(row) + [0] * 4 for row in e8]
+        + [[0] * 8 + list(row) for row in d4]).to_text())
+    assert main(["gain", "--gram", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: no integer ell with ell^n = det^2 for det 4, n = 12\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "decompose BW16 --ell 2",
+    "gain E8 --ell 2",
+    "gain Z16 --n 16",
+    "curve E8 --ell 1",
+    "curve E8 --n 8",
+])
+def test_removed_flags_are_refused(capsys, argv):
+    # ell and n are read from the lattice
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_curve_csv_shape(run):
@@ -120,10 +161,11 @@ def test_out_file(run, tmp_path):
     "curve A2 --range abc",
     "expand Theta_D4 --order 0",
     "expand Theta_D4 --order x",
-    "decompose --gram /nonexistent --ell 2",
-    "gain --gram /nonexistent --ell 2",
-    "curve --gram /nonexistent --ell 2",
+    "decompose --gram /nonexistent",
+    "gain --gram /nonexistent",
+    "curve --gram /nonexistent",
     "gain",
+    "gain Zn",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv.split()) == 2

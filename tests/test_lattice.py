@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modlat import lattice
-from modlat.errors import (BoundTooLarge, NotIntegral, RankDeficient,
-                           UnknownLattice)
-from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog,
+from modlat import codes, fixtures, lattice
+from modlat.errors import (BoundTooLarge, ModlatError, NotIntegral,
+                           RankDeficient, UnknownLattice)
+from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog, ell_from_det,
                             gram_from_generator, hnf_basis,
                             theta_coefficients)
 from modlat.secrecy import _dual_gram
@@ -58,6 +58,46 @@ def test_determinant_matches_level():
         e = catalog(name)
         n = e.gram.n
         assert e.gram.determinant() == Fraction(e.ell) ** (n // 2), name
+
+
+def test_ell_from_det_matches_the_published_levels():
+    # the tables give each row's ell independently of the Gram
+    rows = [r for r in fixtures.TABLE1 + fixtures.TABLE2 if r.catalog_name]
+    assert {r.catalog_name for r in rows} == {"A2", "D4", "K12", "BW16",
+                                              "ExampleDim8"}
+    for row in rows:
+        assert ell_from_det(catalog(row.catalog_name).gram) == row.ell, \
+            row.name
+    code = codes.CodeOverR.from_pairs(fixtures.PSOLE_DIM8_GENERATOR)
+    assert ell_from_det(codes.construction_a_gram(code)) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 24])
+def test_ell_from_det_roots(n):
+    for ell in list(range(1, 40)) + [10 ** 9 + 7]:
+        # diag(ell, ..., ell) has det ell^n, so ell^2 for odd n;
+        # diag(1, ..., 1, ell^(n/2)) has det ell^(n/2)
+        diag = [ell] * n if n % 2 else [1] * (n - 1) + [ell ** (n // 2)]
+        g = GramMatrix([[diag[i] if i == j else 0 for j in range(n)]
+                        for i in range(n)])
+        assert ell_from_det(g) == (ell ** 2 if n % 2 else ell)
+
+
+def _e8_plus_d4():
+    e8, d4 = catalog("E8").gram.entries, catalog("D4").gram.entries
+    return GramMatrix([list(row) + [0] * 4 for row in e8]
+                      + [[0] * 8 + list(row) for row in d4])
+
+
+@pytest.mark.parametrize("gram,message", [
+    # det 4, and 4^2 is no 12th power
+    (_e8_plus_d4(), "det 4, n = 12"),
+    (GramMatrix([[Fraction(1, 2)]]), "det 1/2, n = 1"),
+    (GramMatrix([[1, 0], [0, Fraction(3, 2)]]), "det 3/2, n = 2"),
+])
+def test_ell_from_det_refuses(gram, message):
+    with pytest.raises(ModlatError, match=message):
+        ell_from_det(gram)
 
 
 @pytest.mark.parametrize("entries", [
