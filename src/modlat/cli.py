@@ -142,7 +142,8 @@ def cmd_code(args):
 
 def cmd_gain(args):
     src, ell, n = _lattice(args.name, args.gram)
-    chi = secrecy.weak_secrecy_gain(src, ell, eps=args.eps)
+    chi = secrecy.weak_secrecy_gain(src, ell, eps=args.eps,
+                                    budget=args.budget)
     _emit(args, ["%.5f" % chi],
           {"lattice": args.gram or args.name, "ell": ell, "n": n,
            "chi_w": chi})
@@ -153,7 +154,7 @@ def cmd_curve(args):
     src, ell, _ = _lattice(args.name, args.gram)
     lo, hi = (float(x) for x in args.range.split(":"))
     pts = secrecy.secrecy_curve(src, ell, (lo, hi), args.samples,
-                                eps=args.eps)
+                                eps=args.eps, budget=args.budget)
     payload = [{"y_dB": p[0], "xi": p[1]} for p in pts]
     _emit(args, ["%.6f %.9f" % p for p in pts], payload)
     return 0

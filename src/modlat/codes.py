@@ -13,12 +13,13 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from . import theta
 from .errors import EnumerationTooLarge
 from .lattice import GramMatrix, hnf_basis
-from .qseries import DEFAULT_ORDER, QSeries
+from .qseries import DEFAULT_ORDER, QSeries, SeriesMatrix
 
 
 @dataclass(frozen=True)
@@ -259,19 +260,16 @@ def theta_from_lwe(lwe, order=DEFAULT_ORDER):
     """Substitute the four coset theta series into the enumerator."""
     order = Fraction(order)
     thetas = [coset_theta(l, order) for l in range(4)]
-    powers = [dict() for _ in thetas]
-    out = QSeries.zero(order)
+    powers = {}
 
     def power_of(idx, e):
-        cache = powers[idx]
-        if e not in cache:
-            cache[e] = thetas[idx] ** e
-        return cache[e]
+        if (idx, e) not in powers:
+            powers[idx, e] = thetas[idx] ** e
+        return powers[idx, e]
 
-    for comp, mult in sorted(lwe.items()):
-        term = QSeries.one(order)
-        for idx, e in enumerate(comp):
-            if e:
-                term = term * power_of(idx, e)
-        out = out + mult * term
-    return out
+    comps = sorted(lwe.items())
+    terms = []
+    for comp, _ in comps:
+        factors = [power_of(idx, e) for idx, e in enumerate(comp) if e]
+        terms.append(reduce(mul, factors) if factors else QSeries.one(order))
+    return SeriesMatrix.of(terms, order).combine([m for _, m in comps])

@@ -38,7 +38,7 @@ class GramMatrix:
     positive-definiteness check at construction.
     """
 
-    __slots__ = ("entries", "n", "ldl")
+    __slots__ = ("entries", "n", "ldl", "_hash")
 
     def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -66,6 +66,7 @@ class GramMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ldl", (L, d))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GramMatrix is immutable")
@@ -79,7 +80,10 @@ class GramMatrix:
         return isinstance(other, GramMatrix) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        # kept after the first call: the memoized certificates key on it
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self.entries))
+        return self._hash
 
     def determinant(self):
         out = Fraction(1)

@@ -21,13 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 import json
 from math import lcm
+from operator import mul
 
 from . import theta
 from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
-from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse, _scale_to_integers,
+from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse,
                       theta_coefficients)
-from .qseries import DEFAULT_ORDER, QSeries
+from .qseries import DEFAULT_ORDER, SeriesMatrix
 
 _K0 = {1: 4, 2: 2, 3: 1}
 _K1 = {1: 12, 2: 8, 3: 6}
@@ -137,29 +138,43 @@ def build_basis(ell, n, kind="even"):
 
 
 @lru_cache(maxsize=None)
-def _term_expansion(kind, ell, e1, e2, order):
-    g1, g2 = _GENERATORS[(kind, ell)]
-    out = QSeries.one(order)
-    if e1:
-        out = out * theta.expand(g1, order) ** e1
-    if e2:
-        out = out * theta.expand(g2, order) ** e2
-    return out
+def _term_matrix(basis, order):
+    """The q-expansions of the basis monomials below order, as the
+    columns of one integer matrix."""
+    g1, g2 = (theta.expand(g, order) for g in basis.generators)
+    return SeriesMatrix.of([g1 ** e1 * g2 ** e2 for e1, e2 in basis.terms],
+                           order)
+
+
+def _terms_below(basis, order):
+    """The term matrix of `basis` to at least `order`, one per bucket of
+    `theta.ORDER_STEP`."""
+    return _term_matrix(basis, theta._order_bucket(order))
 
 
 def expand_decomposition(d: ThetaDecomposition, order=DEFAULT_ORDER):
     order = Fraction(order)
-    b = d.basis
-    out = QSeries.zero(order)
-    for (e1, e2), c in zip(b.terms, d.coeffs):
-        if c:
-            out = out + c * _term_expansion(b.kind, b.ell, e1, e2, order)
-    return out
+    return _terms_below(d.basis, order).combine(d.coeffs, order)
 
 
 def _matching_exponents(basis, count):
     step = 2 if basis.kind == "even" else 1
     return [step * i for i in range(count)]
+
+
+@lru_cache(maxsize=None)
+def _matching_inverse(basis):
+    """(D, D * M^-1, scales) for the integer matrix M of the basis terms
+    at the matching exponents, D = +-det M; term k is scales[k] times
+    column k of M.  Bareiss elimination of [M | I] ends at
+    [D * I | D * M^-1]."""
+    exps = _matching_exponents(basis, len(basis.terms))
+    matrix = _terms_below(basis, exps[-1] + 1)
+    t = len(exps)
+    rows = [matrix.row(e) + [int(i == j) for j in range(t)]
+            for i, e in enumerate(exps)]
+    _bareiss(rows)
+    return rows[0][0], tuple(tuple(row[t:]) for row in rows), matrix.scales
 
 
 def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
@@ -169,31 +184,35 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
     matching exponents (0, 2, 4, ... for the even shape; 0, 1, 2, ...
     for the general one) feed an exact linear system; any further known
     coefficients up to `surplus_depth` are checked against the solution.
+    The system's inverse is computed once per basis, so a solve is one
+    matrix-vector product and the check one more.
     """
     known_map = {Fraction(m): Fraction(c) for m, c in known}
-    t = len(basis.terms)
-    exps = _matching_exponents(basis, t)
-    missing = [e for e in exps if Fraction(e) not in known_map]
+    exps = _matching_exponents(basis, len(basis.terms))
+    missing = [e for e in exps if e not in known_map]
     if missing:
         raise ValueError("need theta coefficients at exponents %s" % missing)
+    det, inverse, scales = _matching_inverse(basis)
+    rhs = [known_map[e] for e in exps]
+    common = lcm(*(r.denominator for r in rhs))
+    rhs = [r.numerator * (common // r.denominator) for r in rhs]
+    # M y = rhs has y_k = scales[k] * coefficient k
+    d = ThetaDecomposition(basis, tuple(
+        Fraction(sum(map(mul, row, rhs)) * s.denominator,
+                 det * common * s.numerator)
+        for row, s in zip(inverse, scales)))
     order = Fraction(max(surplus_depth + 1, exps[-1] + 1))
-    cols = [_term_expansion(basis.kind, basis.ell, e1, e2, order)
-            for e1, e2 in basis.terms]
-    A = [[col.coeff_at(e) for col in cols] for e in exps]
-    rhs = [known_map[Fraction(e)] for e in exps]
-
-    _, rows = _scale_to_integers([row + [r] for row, r in zip(A, rhs)])
-    _bareiss(rows)
-    coeffs = tuple(Fraction(row[t], row[k]) for k, row in enumerate(rows))
-
-    d = ThetaDecomposition(basis, coeffs)
-    expansion = expand_decomposition(d, order)
-    for e, c in known_map.items():
-        if e < order and c != expansion.coeff_at(e):
-            raise InconsistentSurplus(
-                "solution gives coefficient %s at q^%s but %s was supplied; "
-                "wrong level, parity or basis shape for this lattice"
-                % (expansion.coeff_at(e), e, c))
+    # the matching coefficients hold by construction
+    surplus = [(e, c) for e, c in known_map.items()
+               if e < order and e not in exps]
+    if surplus:
+        expansion = expand_decomposition(d, order)
+        for e, c in surplus:
+            if c != expansion.coeff_at(e):
+                raise InconsistentSurplus(
+                    "solution gives coefficient %s at q^%s but %s was "
+                    "supplied; wrong level, parity or basis shape for this "
+                    "lattice" % (expansion.coeff_at(e), e, c))
     return d
 
 
@@ -245,7 +264,15 @@ def certified_decomposition(gram, budget=DEFAULT_BUDGET):
     the span of the monomials (the span can be smaller than the space:
     dim M_8(Gamma_0(2)) = 3 against two monomials), and None is
     returned; so it is if the enumeration needs more than `budget` nodes.
+
+    The certificate is memoized per (gram, budget): a Gram's secrecy
+    function, gain, curve and maximum share one enumeration.
     """
+    return _certificate(gram, budget)
+
+
+@lru_cache(maxsize=256)
+def _certificate(gram, budget):
     ell = _gate_level(gram)
     if ell is None:
         return None

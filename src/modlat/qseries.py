@@ -5,18 +5,36 @@ Convention used throughout the package: the nome is q = e^{pi*i*tau}
 the squared norm directly.  Many references use the other convention;
 every expansion in this package uses this one.
 
-A series is stored sparsely as a map from integer numerators n to exact
-rational coefficients, the term being coeff * q^(n/den).  All terms with
-exponent < trunc are correct; terms at or above trunc are dropped.
-Exponents are non-negative except for the single downward shift that
-`invert_unit` may introduce.
+A series is stored densely, as one tuple of integers and one rational
+scale: the term at q^((start + step*i)/den) is scale * ints[i].  All
+terms with exponent < trunc are correct; terms at or above trunc are
+dropped.  Exponents are non-negative except for the single downward
+shift that `invert_unit` may introduce, which is why `start` may be
+negative.  The form is canonical, so equal series have equal fields:
+den is the least grid of the nonzero terms, step the gcd of their
+offsets from the first one (1 for a single term), the first and last
+integers are nonzero, and the integers are coprime with the first one
+positive.  Every form shipped here is integral up to a scale of 1/2,
+1/4 or 1/12, and the stride keeps sparse ones small: eta(tau) =
+q^(1/12)(1 - q^2 - q^4 + q^10 + ...) holds one integer per 24 twelfths.
+
+Products go by Kronecker substitution (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", 2009): each
+integer vector is packed into one Python integer, slot i holding entry
+i in a field wide enough for every coefficient of the product, the two
+integers are multiplied once, and the low slots are read back.  Sums
+are matrix-vector products over a `SeriesMatrix`, the summands as the
+columns of one integer matrix on a common grid.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
+from typing import NamedTuple
 
 from .errors import NotInvertible, QueryBeyondTruncation
 
@@ -25,44 +43,175 @@ from .errors import NotInvertible, QueryBeyondTruncation
 #: with slack for surplus verification.
 DEFAULT_ORDER = Fraction(16)
 
+_FIELDS = ("den", "start", "step", "ints", "scale", "trunc")
+
+
+def _count(start, step, limit):
+    """Number of i >= 0 with start + step*i < limit."""
+    limit = Fraction(limit) - start
+    return max(-(-limit.numerator // (limit.denominator * step)), 0)
+
+
+def _spread(ints, f):
+    """The vector with f - 1 zeros between consecutive entries."""
+    if f == 1 or len(ints) < 2:
+        return ints
+    out = [0] * ((len(ints) - 1) * f + 1)
+    out[::f] = ints
+    return out
+
+
+def _prime_factors(n):
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        yield n
+
+
+def _bias(width, count):
+    """The integer with 2^(8*width - 1) in each of `count` slots of `width`
+    bytes: adding it makes every signed slot value non-negative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(v, width):
+    """sum_i v[i] * 2^(8*width*i), for |v[i]| < 2^(8*width - 1)."""
+    raw = int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True)
+                                   for x in v]), "little")
+    # a two's complement slot x mod 2^w with its top bit flipped is
+    # x + 2^(w-1), so raw ^ bias = packed + bias
+    bias = _bias(width, len(v))
+    return (raw ^ bias) - bias
+
+
+def _product(a, b, m):
+    """The first m coefficients of the product of integer vectors a and b.
+
+    Every coefficient of the product is at most min(len a, len b) *
+    max|a| * max|b| in absolute value, so slots of that many bits plus
+    a sign bit hold each one exactly.  The packed integers are multiplied
+    once; the low m slots are shifted to non-negative values by the bias,
+    so no slot borrows from the next, and read back signed.
+    """
+    square = a is b
+    a = a[:m]
+    b = a if square else b[:m]
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    pa = _pack(a, width)
+    c = pa * (pa if square else _pack(b, width))
+    size = width * m
+    bias = _bias(width, m)
+    buf = (((c + bias) & ((1 << 8 * size) - 1)) ^ bias).to_bytes(size,
+                                                                "little")
+    return [int.from_bytes(buf[i:i + width], "little", signed=True)
+            for i in range(0, size, width)]
+
+
+def _inverse(u, m):
+    """The first m coefficients of 1/u for an integer vector u, u[0] = 1.
+
+    Newton's iteration v <- v - v*(u*v - 1) doubles the number of
+    correct coefficients per step; u*v - 1 vanishes below the old length
+    h, so only its part from h on is multiplied.
+    """
+    v = [1]
+    while len(v) < m:
+        h = len(v)
+        k = min(2 * h, m)
+        e = _product(u, v, k)[h:]
+        v += [-x for x in _product(v, e, k - h)] if any(e) else [0] * (k - h)
+    return v
+
 
 class QSeries:
     """Immutable truncated q-expansion with exact rational coefficients."""
 
-    __slots__ = ("den", "coeffs", "trunc")
+    __slots__ = _FIELDS
 
     def __init__(self, den, coeffs, trunc):
+        """Series with the coefficient coeffs[n] at q^(n/den), below trunc."""
         trunc = Fraction(trunc)
-        clean = {int(n): Fraction(c) for n, c in coeffs.items() if c}
         den = int(den)
         if den <= 0:
             raise ValueError("denominator must be positive")
-        if clean:
-            g = den
-            for n in clean:
-                g = gcd(g, abs(n))
-                if g == 1:
-                    break
-            if g > 1:
-                clean = {n // g: c for n, c in clean.items()}
-                den //= g
-        else:
-            den = 1
+        clean = {}
+        for n, c in coeffs.items():
+            c = Fraction(c)
+            if c:
+                clean[int(n)] = c
         for n in clean:
             if Fraction(n, den) >= trunc:
                 raise ValueError("stored exponent %s/%s >= truncation %s"
                                  % (n, den, trunc))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "trunc", trunc)
+        start = min(clean, default=0)
+        ints = [0] * (max(clean) - start + 1 if clean else 0)
+        common = lcm(*(c.denominator for c in clean.values()))
+        for n, c in clean.items():
+            ints[n - start] = c.numerator * (common // c.denominator)
+        self._init(den, start, 1, ints, Fraction(1, common), trunc)
+
+    @classmethod
+    def _new(cls, den, start, step, ints, scale, trunc):
+        """The series scale * sum ints[i] q^((start + step*i)/den) below
+        trunc; every entry must lie below trunc."""
+        s = object.__new__(cls)
+        s._init(den, start, step, ints, scale, trunc)
+        return s
+
+    def _init(self, den, start, step, ints, scale, trunc):
+        """Set the canonical fields (see the module docstring)."""
+        lo, hi = 0, len(ints)
+        while hi and not ints[hi - 1]:
+            hi -= 1
+        while lo < hi and not ints[lo]:
+            lo += 1
+        if lo == hi:
+            den, start, step, ints, scale = 1, 0, 1, (), Fraction(1)
+        else:
+            if hi - lo < len(ints):
+                ints = ints[lo:hi]
+            start += step * lo
+            g = gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            if g != 1:
+                ints = [x // g for x in ints]
+                scale *= g
+            # k = 0 for a single term, whose exponent alone fixes den
+            k = gcd(*[i for i, x in enumerate(ints) if x])
+            if k > 1:
+                ints = ints[::k]
+            step *= k
+            g = gcd(den, start, step)
+            den, start, step = den // g, start // g, step // g or 1
+        for name, value in zip(_FIELDS, (den, start, step, tuple(ints),
+                                         scale, trunc)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("QSeries is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as slot
-        # assignment is refused
-        return QSeries, (self.den, self.coeffs, self.trunc)
+        # pickle and copy rebuild from the fields, as slot assignment is
+        # refused
+        return QSeries._new, tuple(getattr(self, f) for f in _FIELDS)
+
+    def _stride(self, d):
+        """The step on the 1/d grid, 0 for at most one term."""
+        return self.step * (d // self.den) if len(self.ints) > 1 else 0
+
+    def _grid(self, d, g):
+        """(start, integers) on the lattice of exponents (start + g*i)/d,
+        for d a multiple of den and g a divisor of the stride."""
+        return self.start * (d // self.den), _spread(self.ints,
+                                                      self._stride(d) // g)
 
     # -- constructors -------------------------------------------------
 
@@ -92,66 +241,64 @@ class QSeries:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The nonzero terms, {n: coefficient at q^(n/den)}, n ascending."""
+        s, start, step = self.scale, self.start, self.step
+        return {start + step * i: s * c for i, c in enumerate(self.ints) if c}
+
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
-        return [(Fraction(n, self.den), c)
-                for n, c in sorted(self.coeffs.items())]
+        return [(Fraction(n, self.den), c) for n, c in self.coeffs.items()]
 
     def coeff_at(self, exponent):
         exponent = Fraction(exponent)
         if exponent >= self.trunc:
             raise QueryBeyondTruncation(
                 "exponent %s >= truncation order %s" % (exponent, self.trunc))
-        if (exponent * self.den).denominator != 1:
+        k = exponent * self.den
+        i, r = divmod(k.numerator - self.start, self.step)
+        if k.denominator != 1 or r or not 0 <= i < len(self.ints):
             return Fraction(0)
-        return self.coeffs.get(int(exponent * self.den), Fraction(0))
+        return self.scale * self.ints[i]
 
     def leading_exponent(self):
-        if not self.coeffs:
+        if not self.ints:
             return None
-        return Fraction(min(self.coeffs), self.den)
+        return Fraction(self.start, self.den)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (self.den == other.den and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+        return all(getattr(self, f) == getattr(other, f) for f in _FIELDS)
 
     def __hash__(self):
-        return hash((self.den, self.trunc, frozenset(self.coeffs.items())))
+        return hash(tuple(getattr(self, f) for f in _FIELDS))
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        d = lcm(self.den, other.den)
-        t = min(self.trunc, other.trunc)
-        out: dict[int, Fraction] = {}
-        for s in (self, other):
-            f = d // s.den
-            for n, c in s.coeffs.items():
-                m = n * f
-                if Fraction(m, d) < t:
-                    out[m] = out.get(m, Fraction(0)) + c
-        return QSeries(d, out, t)
+        return SeriesMatrix.of((self, other)).combine((1, 1))
 
     def __neg__(self):
-        return QSeries(self.den, {n: -c for n, c in self.coeffs.items()},
-                       self.trunc)
+        return self.scalar_mul(-1)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self + (-other)
+        return SeriesMatrix.of((self, other)).combine((1, -1))
 
     def scalar_mul(self, c):
         c = Fraction(c)
-        return QSeries(self.den, {n: c * v for n, v in self.coeffs.items()},
-                       self.trunc)
+        if not c:
+            return QSeries.zero(self.trunc)
+        return QSeries._new(self.den, self.start, self.step, self.ints,
+                            self.scale * c, self.trunc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -168,23 +315,21 @@ class QSeries:
             return self.scalar_mul(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        d = lcm(self.den, other.den)
         # Conservative truncation: the product is only claimed below the
         # smaller of the two input orders.
         t = min(self.trunc, other.trunc)
-        limit = t * d  # keep numerators with m < limit
-        fa = d // self.den
-        fb = d // other.den
-        a = [(n * fa, c) for n, c in self.coeffs.items()]
-        b = sorted((n * fb, c) for n, c in other.coeffs.items())
-        out: dict[int, Fraction] = {}
-        for na, ca in a:
-            for nb, cb in b:
-                m = na + nb
-                if m >= limit:
-                    break
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return QSeries(d, out, t)
+        if not self.ints or not other.ints:
+            return QSeries.zero(t)
+        # both factors on the coarsest lattice (start + g*i)/d of each
+        d = lcm(self.den, other.den)
+        g = gcd(self._stride(d), other._stride(d)) or 1
+        sa, a = self._grid(d, g)
+        sb, b = (sa, a) if other is self else other._grid(d, g)
+        m = _count(sa + sb, g, t * d)  # product slots below t
+        if not m:
+            return QSeries.zero(t)
+        return QSeries._new(d, sa + sb, g, _product(a, b, m),
+                            self.scale * other.scale, t)
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -198,50 +343,57 @@ class QSeries:
             e >>= 1
         return result
 
+    def truncate(self, trunc):
+        """The same series known only below trunc <= self.trunc."""
+        trunc = Fraction(trunc)
+        if trunc > self.trunc:
+            raise ValueError("truncation %s beyond %s" % (trunc, self.trunc))
+        k = _count(self.start, self.step, trunc * self.den)
+        return QSeries._new(self.den, self.start, self.step, self.ints[:k],
+                            self.scale, trunc)
+
     def scale_argument(self, c):
         """Realize tau -> c*tau: every exponent e becomes c*e."""
         c = Fraction(c)
         if c <= 0:
             raise ValueError("argument scale must be positive")
-        d = self.den * c.denominator
-        out = {n * c.numerator: v for n, v in self.coeffs.items()}
-        return QSeries(d, out, self.trunc * c)
+        p = c.numerator
+        return QSeries._new(self.den * c.denominator, self.start * p,
+                            self.step * p, self.ints, self.scale,
+                            self.trunc * c)
 
     def invert_unit(self):
         """Multiplicative inverse modulo truncation.
 
         A leading monomial q^{e0} is handled by an exponent shift, so
         the inverse may contain negative exponents.  The truncation
-        order of the result is trunc - 2*e0.
+        order of the result is trunc - 2*e0.  With c the leading integer,
+        u(x) = c * w(x/c) for the integer series w(x) = u(c*x)/c, whose
+        leading coefficient is 1, so 1/u has the coefficients
+        (1/w)_i / c^(i+1).
         """
-        if not self.coeffs:
+        if not self.ints:
             raise NotInvertible("cannot invert the zero series")
-        d = self.den
-        n0 = min(self.coeffs)
-        e0 = Fraction(n0, d)
-        # Shifted series u = q^{-e0} * self is a unit known below trunc - e0.
-        slots = (self.trunc - e0) * d
-        nslots = int(slots) if slots.denominator == 1 else int(slots) + 1
-        u = [Fraction(0)] * nslots
-        for n, c in self.coeffs.items():
-            u[n - n0] = c
-        inv0 = 1 / u[0]
-        v = [Fraction(0)] * nslots
-        v[0] = inv0
-        support = [k for k in range(1, nslots) if u[k]]
-        for n in range(1, nslots):
-            acc = Fraction(0)
-            for k in support:
-                if k > n:
-                    break
-                if v[n - k]:
-                    acc += u[k] * v[n - k]
-            if acc:
-                v[n] = -acc * inv0
-        new_trunc = self.trunc - 2 * e0
-        out = {n - n0: c for n, c in enumerate(v)
-               if c and Fraction(n - n0, d) < new_trunc}
-        return QSeries(d, out, new_trunc)
+        d, n0, step = self.den, self.start, self.step
+        m = _count(n0, step, self.trunc * d)  # slots of the unit q^{-e0}*self
+        u = list(self.ints[:m])
+        c = u[0]
+        scale = 1 / self.scale
+        if c != 1:
+            power = 1
+            for i in range(1, len(u)):
+                u[i] *= power
+                power *= c
+            u[0] = 1
+        v = _inverse(u, m)
+        if c != 1:
+            power = 1
+            for i in range(m - 1, -1, -1):
+                v[i] *= power
+                power *= c
+            scale /= power
+        return QSeries._new(d, -n0, step, v, scale,
+                            self.trunc - 2 * Fraction(n0, d))
 
     # -- serialization ------------------------------------------------
 
@@ -249,7 +401,7 @@ class QSeries:
         return {
             "den": self.den,
             "trunc": str(self.trunc),
-            "terms": [[n, str(c)] for n, c in sorted(self.coeffs.items())],
+            "terms": [[n, str(c)] for n, c in self.coeffs.items()],
         }
 
     @classmethod
@@ -266,7 +418,7 @@ class QSeries:
 
     def to_text(self):
         lines = ["qseries den=%d trunc=%s" % (self.den, self.trunc)]
-        for n, c in sorted(self.coeffs.items()):
+        for n, c in self.coeffs.items():
             lines.append("%d %s" % (n, c))
         return "\n".join(lines) + "\n"
 
@@ -286,7 +438,7 @@ class QSeries:
     # -- display ------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for e, c in self.terms():
@@ -313,19 +465,79 @@ class QSeries:
         return "QSeries(%s, trunc=%s)" % (self, self.trunc)
 
 
+class SeriesMatrix(NamedTuple):
+    """Series as the columns of one integer matrix on a common lattice.
+
+    Row i holds the exponent (start + step*i)/den, for every exponent of
+    the lattice below trunc from the least leading exponent on; series j
+    is scales[j] times column j.  A linear combination of the series is
+    one matrix-vector product, `combine`.
+    """
+
+    den: int
+    start: int
+    step: int
+    trunc: Fraction
+    scales: tuple
+    columns: tuple
+
+    @classmethod
+    def of(cls, series, trunc=None):
+        """The matrix of `series` below trunc, by default the least
+        truncation among them."""
+        trunc = (min(s.trunc for s in series) if trunc is None
+                 else Fraction(trunc))
+        d = lcm(*(s.den for s in series))
+        starts = [s.start * (d // s.den) for s in series if s.ints]
+        start = min(starts, default=0)
+        g = gcd(*(s._stride(d) for s in series),
+                *(st - start for st in starts)) or 1
+        rows = _count(start, g, trunc * d)
+        columns = []
+        for s in series:
+            col = []
+            if s.ints:
+                st, v = s._grid(d, g)
+                col = [0] * ((st - start) // g) + list(v)
+            columns.append(tuple(col[:rows] + [0] * (rows - len(col))))
+        return cls(d, start, g, trunc, tuple(s.scale for s in series),
+                   tuple(columns))
+
+    def row(self, exponent):
+        """The integers of every column at q^exponent: series j has the
+        coefficient scales[j] * row[j] there."""
+        exponent = Fraction(exponent)
+        if exponent >= self.trunc:
+            raise QueryBeyondTruncation(
+                "exponent %s >= truncation order %s" % (exponent, self.trunc))
+        k = exponent * self.den
+        i, r = divmod(k.numerator - self.start, self.step)
+        if k.denominator != 1 or r or i < 0:
+            return [0] * len(self.columns)
+        return [col[i] for col in self.columns]
+
+    def combine(self, weights, trunc=None):
+        """sum_j weights[j] * series j, as a QSeries below trunc, by
+        default the matrix's own (a trunc above it is not allowed)."""
+        trunc = self.trunc if trunc is None else Fraction(trunc)
+        if trunc > self.trunc:
+            raise ValueError("truncation %s beyond the matrix's %s"
+                             % (trunc, self.trunc))
+        w = [s * c for c, s in zip(weights, self.scales)]
+        common = lcm(*(x.denominator for x in w))
+        rows = _count(self.start, self.step, trunc * self.den)
+        out = [0] * rows
+        for x, col in zip(w, self.columns):
+            if x:
+                k = x.numerator * (common // x.denominator)
+                out = list(map(add, out, map(mul, col[:rows], repeat(k))))
+        return QSeries._new(self.den, self.start, self.step, out,
+                            Fraction(1, common), trunc)
+
+
 def first_mismatch(a: QSeries, b: QSeries):
     """Smallest exponent below the common truncation where a and b differ.
 
     Returns None if they agree on all shared exponents.
     """
-    t = min(a.trunc, b.trunc)
-    d = lcm(a.den, b.den)
-    fa, fb = d // a.den, d // b.den
-    keys = ({n * fa for n in a.coeffs} | {n * fb for n in b.coeffs})
-    for n in sorted(keys):
-        e = Fraction(n, d)
-        if e >= t:
-            break
-        if a.coeff_at(e) != b.coeff_at(e):
-            return e
-    return None
+    return (a - b).leading_exponent()

@@ -147,6 +147,12 @@ _ROUND_UP = 1.0 + 1e-9
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def _gamma(k):
+    """Higham's gamma_k = k*u / (1 - k*u), u = 2^-53 the unit roundoff."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
 def _dual_gram(gram):
     """Gram of the dual lattice, G^-1, exactly, in the reversed basis order.
 
@@ -244,15 +250,51 @@ class _Side:
         self.depth = R
 
     def read(self, y, R):
-        """ThetaValue at i*y from the counts of norm <= R."""
+        """ThetaValue at i*y from the counts of norm <= R.
+
+        `bound_on_tail` is w(y) times the tail bound past R, plus a bound
+        on the rounding of the value (Higham, "Accuracy and Stability of
+        Numerical Algorithms", 2002, sections 2.2, 3.1 and 4.2; unit
+        roundoff u = 2^-53, gamma_k = k*u / (1 - k*u)), with libm's exp
+        and pow taken as correct to one ulp:
+          - pi, the rate a, the norm m and x = a*m are rounded once
+            each, so exp(-x) is off by a factor e^(gamma_4 x); exp
+            itself and the product by the count add gamma_3, so term m
+            is within gamma_3 + gamma_4 * x_m of its value, relative,
+            and the term of norm 0, the count times exp(-0) = 1, is
+            exact;
+          - the recursive sum of t nonzero terms adds gamma_(t-1) times
+            their sum;
+          - on the dual side w = det^(-1/2) y^(-n/2) comes from a
+            rounded det, two powers and a product (gamma_6), and w*s
+            is one rounding more;
+          - a term in the subnormal range is off by at most (count + 1)
+            times 2^-1074, absolutely.
+        Products of these small relative errors are covered by rounding
+        the bound up.  The value itself is the plain sum.
+        """
         a = self.rate(y)
         used = bisect_right(self.norms, R)
-        s = 0.0
+        s = moved = spread = 0.0
+        nonzero = tiny = 0
         for m, k in zip(self.norms[:used], self.counts[:used]):
-            s += k * math.exp(-a * m)
-        w = self.scale * y ** (-self.gram.n / 2) if self.dual else 1.0
-        return ThetaValue(w * s, w * self.tail(a, R), used,
-                          "dual" if self.dual else "primal")
+            x = a * m
+            t = k * math.exp(-x)
+            s += t
+            if x:
+                moved += t
+                spread += x * t
+            nonzero += t > 0
+            tiny += k + 1
+        rounding = (_gamma(max(nonzero - 1, 0)) * s + _gamma(3) * moved
+                    + _gamma(4) * spread + tiny * 2.0 ** -1074) * _ROUND_UP
+        if not self.dual:
+            return ThetaValue(s, self.tail(a, R) + rounding, used, "primal")
+        w = self.scale * y ** (-self.gram.n / 2)
+        value = w * s
+        bound = (w * (self.tail(a, R) + rounding)
+                 + value * _gamma(7)) * _ROUND_UP
+        return ThetaValue(value, bound, used, "dual")
 
 
 class _GramTheta:
@@ -370,8 +412,9 @@ def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
     diagonal d of the side's Gram, and Stieltjes integration:
     sum_{m > R} A_m e^(-a*m) <= a * int_R^oo (P(t) - 1) e^(-a*t) dt.
     The side with the smaller box count P(R) is enumerated once, to R
-    (the primal on a tie).  `bound_on_tail` is w(y) times that bound,
-    rounded up; `terms_used` counts the nonzero norms summed.  If neither
+    (the primal on a tie).  `bound_on_tail` is w(y) times that bound
+    plus a bound on the rounding of the sum (see `_Side.read`), rounded
+    up; `terms_used` counts the nonzero norms summed.  If neither
     side certifies eps with R <= MAX_CUTOFF, TailBoundNotMet is raised
     before anything is enumerated; more than `budget` search nodes raise
     BoundTooLarge.
@@ -421,30 +464,34 @@ def _dimension(source):
     raise TypeError("unsupported secrecy source %r" % (source,))
 
 
-def secrecy_function(source, ell, y, eps=_EPS_DEFAULT):
+def secrecy_function(source, ell, y, eps=_EPS_DEFAULT,
+                     budget=DEFAULT_BUDGET):
     """Xi at tau = i*y: reference theta over lattice theta.
 
     `source` is a ThetaDecomposition or a GramMatrix of an ell-modular
-    lattice; the dimension n of the cubic reference is read from it.
+    lattice; the dimension n of the cubic reference is read from it.  A
+    Gram's enumerations are limited to `budget` search nodes.
     """
     n = _dimension(source)
-    tl = eval_theta_numeric(source, y, eps)
+    tl = eval_theta_numeric(source, y, eps, budget)
     ref = theta3_numeric(y, math.sqrt(ell)) ** n
     return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
                              tl.terms_used, tl.bound_on_tail, tl.route)
 
 
-def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT):
+def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
+                      budget=DEFAULT_BUDGET):
     """Xi at the symmetry point y = 1/sqrt(ell), n read from `source`.
 
     The reference simplifies there: theta3(sqrt(ell)*i/sqrt(ell)) = theta3(i).
     """
     n = _dimension(source)
-    tl = eval_theta_numeric(source, 1.0 / math.sqrt(ell), eps)
+    tl = eval_theta_numeric(source, 1.0 / math.sqrt(ell), eps, budget)
     return theta3_numeric(1.0) ** n / tl.value
 
 
-def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT):
+def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT,
+                  budget=DEFAULT_BUDGET):
     """Sample Xi on a uniform dB grid; returns a list of (y_dB, xi).
 
     `source` is as for `secrecy_function`.
@@ -457,9 +504,9 @@ def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT):
     if isinstance(source, GramMatrix):
         # the route is decided once: a certified decomposition, or both
         # sides enumerated once
-        source = (certified_decomposition(source, DEFAULT_BUDGET)
-                  or _GramTheta(source, eps, DEFAULT_BUDGET).prepare(ys))
-    return [(ydb, secrecy_function(source, ell, y, eps).xi)
+        source = (certified_decomposition(source, budget)
+                  or _GramTheta(source, eps, budget).prepare(ys))
+    return [(ydb, secrecy_function(source, ell, y, eps, budget).xi)
             for ydb, y in zip(grid, ys)]
 
 
@@ -467,7 +514,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
-                   eps=_EPS_DEFAULT):
+                   eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):
     """Golden-section search for the maximum of Xi on the dB axis.
 
     `source` is as for `secrecy_function`.  Returns (y_star, xi_star) with
@@ -479,12 +526,12 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
     if isinstance(source, GramMatrix):
-        source = (certified_decomposition(source, DEFAULT_BUDGET)
-                  or _GramTheta(source, eps, DEFAULT_BUDGET)
-                  .prepare_span(a, b))
+        source = (certified_decomposition(source, budget)
+                  or _GramTheta(source, eps, budget).prepare_span(a, b))
 
     def f(ydb):
-        return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), eps).xi
+        return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), eps,
+                                budget).xi
 
     h = b - a
     c1 = b - _INV_PHI * h

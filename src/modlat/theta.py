@@ -17,7 +17,6 @@ from functools import lru_cache
 from .qseries import DEFAULT_ORDER, QSeries, first_mismatch
 
 
-@lru_cache(maxsize=None)
 def jacobi_theta2(order=DEFAULT_ORDER, scale=Fraction(1)):
     """theta_2(scale*tau): sum over m of q^{scale*(m+1/2)^2}."""
     order, scale = Fraction(order), Fraction(scale)
@@ -29,7 +28,6 @@ def jacobi_theta2(order=DEFAULT_ORDER, scale=Fraction(1)):
     return QSeries.from_terms(terms, order)
 
 
-@lru_cache(maxsize=None)
 def jacobi_theta3(order=DEFAULT_ORDER, scale=Fraction(1)):
     """theta_3(scale*tau): sum over m of q^{scale*m^2}."""
     order, scale = Fraction(order), Fraction(scale)
@@ -41,7 +39,6 @@ def jacobi_theta3(order=DEFAULT_ORDER, scale=Fraction(1)):
     return QSeries.from_terms(terms, order)
 
 
-@lru_cache(maxsize=None)
 def jacobi_theta4(order=DEFAULT_ORDER, scale=Fraction(1)):
     """theta_4(scale*tau): sum over m of (-q)^{scale*m^2}... signs (-1)^m."""
     order, scale = Fraction(order), Fraction(scale)
@@ -53,22 +50,28 @@ def jacobi_theta4(order=DEFAULT_ORDER, scale=Fraction(1)):
     return QSeries.from_terms(terms, order)
 
 
-@lru_cache(maxsize=None)
 def eta(order=DEFAULT_ORDER, scale=Fraction(1)):
-    """Dedekind eta(scale*tau) = q^{scale/12} * prod (1 - q^{2*m*scale}).
+    """Dedekind eta(scale*tau) = q^{scale/12} * sum_k (-1)^k q^{scale*k(3k-1)}.
 
-    The factor (1 - q^{2m*scale}) only touches exponents >= 2m*scale, so
-    factors with 2m*scale + scale/12 >= order cannot affect the kept
-    coefficients and are dropped.
+    In this nome eta(tau) = q^{1/12} * prod_{m >= 1} (1 - q^{2m}), and
+    Euler's pentagonal number theorem expands the product as the sum
+    over all integers k of (-1)^k q^{k(3k-1)}: twice the generalized
+    pentagonal numbers 0, 1, 2, 5, 7, 12, 15, ... carry the coefficients
+    +-1 and every other exponent 0.  So each term is read off directly,
+    with no product at all.  The exponents for k and -k are
+    scale*k(3k-1) < scale*k(3k+1), both below the next k's.
     """
     order, scale = Fraction(order), Fraction(scale)
     shift = scale / 12
-    out = QSeries.from_terms([(shift, 1)], order)
-    m = 1
-    while 2 * m * scale + shift < order:
-        out = out * QSeries.from_terms([(0, 1), (2 * m * scale, -1)], order)
-        m += 1
-    return out
+    terms = []
+    k = 0
+    while shift + scale * k * (3 * k - 1) < order:
+        sign = (-1) ** k
+        terms.append((shift + scale * k * (3 * k - 1), sign))
+        if k:
+            terms.append((shift + scale * k * (3 * k + 1), sign))
+        k += 1
+    return QSeries.from_terms(terms, order)
 
 
 #: Every named form as one formula over the four primitives.  Each
@@ -101,6 +104,23 @@ FORMULAS = {
 FORM_NAMES = tuple(FORMULAS)
 
 
+#: Composite forms are computed to orders rounded up to a multiple of
+#: this and cut down, so that nearby orders share one computation and
+#: the integer objects of its coefficients.
+ORDER_STEP = 16
+
+
+def _order_bucket(order):
+    """The least multiple of ORDER_STEP at or above order."""
+    return Fraction(-(-Fraction(order) // ORDER_STEP) * ORDER_STEP)
+
+
+@lru_cache(maxsize=None)
+def _evaluate(name, bucket):
+    return FORMULAS[name](bucket, jacobi_theta2, jacobi_theta3,
+                          jacobi_theta4, eta)
+
+
 @lru_cache(maxsize=None)
 def expand(name, order=DEFAULT_ORDER, scale=Fraction(1)):
     """q-expansion of a named form at argument scale*tau, correct below order."""
@@ -109,8 +129,8 @@ def expand(name, order=DEFAULT_ORDER, scale=Fraction(1)):
         raise KeyError("unknown form %r; known: %s" % (name, ", ".join(FORM_NAMES)))
     if order <= 0:
         raise ValueError("order must be positive")
-    s = FORMULAS[name](order / scale, jacobi_theta2, jacobi_theta3,
-                       jacobi_theta4, eta)
+    x = order / scale
+    s = _evaluate(name, _order_bucket(x)).truncate(x)
     return s if scale == 1 else s.scale_argument(scale)
 
 

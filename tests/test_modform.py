@@ -184,7 +184,7 @@ def _entries(name):
     # rational, refused without NotIntegral
     GramMatrix([[Fraction(x, 2) for x in row] for row in _entries("D4")]),
 ])
-def test_certified_decomposition_gate(monkeypatch, gram):
+def test_certified_decomposition_gate(monkeypatch, fresh_certificates, gram):
     calls = []
     monkeypatch.setattr(modform, "theta_coefficients",
                         lambda *a: calls.append(a))
@@ -206,7 +206,8 @@ def test_gate_conditions_fail_one_at_a_time():
             for name in ("E8", "D4", "A2", "K12", "BW16")] == [1, 2, 3, 3, 2]
 
 
-def test_certified_decomposition_checks_to_the_sturm_depth(monkeypatch):
+def test_certified_decomposition_checks_to_the_sturm_depth(
+        monkeypatch, fresh_certificates):
     # BW16: two basis terms fixed by A_0 and A_2; the Sturm depth
     # 2*floor(16*3/24) = 4 leaves A_4 as the check, and dim M_8(Gamma_0(2))
     # = 3 exceeds the span's 2, so a count there can contradict it

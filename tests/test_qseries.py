@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlat.errors import NotInvertible, QueryBeyondTruncation
 from modlat.qseries import QSeries, first_mismatch
-from modlat.theta import jacobi_theta3, jacobi_theta4
+from modlat.theta import eta, jacobi_theta3, jacobi_theta4
 
 
 def F(x):
@@ -203,3 +204,65 @@ def test_serialization_round_trips():
 def test_normalization_minimal_denominator():
     s = QSeries.from_terms([(Fraction(2, 2), 1), (2, 5)], 8)
     assert s.den == 1
+
+
+def schoolbook(a, b):
+    """a*b term by term, below the smaller truncation order."""
+    t = min(a.trunc, b.trunc)
+    out = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            if ea + eb < t:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return QSeries.from_terms(out.items(), t)
+
+
+@st.composite
+def series(draw):
+    """Sparse series on a 1/den grid with rational coefficients of either
+    sign, sometimes inverted, which shifts the exponents below 0."""
+    den = draw(st.sampled_from([1, 2, 3, 4, 12]))
+    trunc = Fraction(draw(st.integers(1, 8 * den)), den)
+    limit = int(trunc * den - Fraction(1, 2)) + 1  # numerators below trunc
+    coeff = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.sampled_from([1, 1, 2, 3, 7, 60]))
+    terms = draw(st.lists(st.tuples(st.integers(0, limit - 1), coeff),
+                          max_size=10))
+    s = QSeries.from_terms([(Fraction(n, den), c) for n, c in terms], trunc)
+    if not s.is_zero() and s.leading_exponent() < trunc / 2 \
+            and draw(st.booleans()):
+        s = s.truncate(min(trunc, s.leading_exponent() + 3)).invert_unit()
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(series(), series())
+def test_product_matches_schoolbook(a, b):
+    assert a * b == schoolbook(a, b)
+    assert (a * b).to_text() == schoolbook(a, b).to_text()
+    assert a * a == schoolbook(a, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series())
+def test_inverse_times_series_is_one(s):
+    if s.is_zero():
+        return
+    inv = s.invert_unit()
+    assert inv.trunc == s.trunc - 2 * s.leading_exponent()
+    t = min(s.trunc, inv.trunc)
+    assert schoolbook(s, inv) == QSeries.from_terms([(0, 1)], t)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), 1, 2, 3, 6])
+@pytest.mark.parametrize("order", [1, 5, Fraction(37, 4), 60])
+def test_pentagonal_eta_is_the_product(scale, order):
+    # eta(s*tau) = q^(s/12) * prod_{m >= 1} (1 - q^(2*m*s))
+    order, scale = Fraction(order), Fraction(scale)
+    prod = QSeries.from_terms([(scale / 12, 1)], order)
+    m = 1
+    while 2 * m * scale < order:
+        prod = schoolbook(prod, QSeries.from_terms(
+            [(0, 1), (2 * m * scale, -1)], order))
+        m += 1
+    assert eta(order, scale) == prod

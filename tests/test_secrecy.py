@@ -162,27 +162,28 @@ def test_span_covers_every_point(enum_calls, name, ell, below, above):
 
 @pytest.mark.parametrize("name,ell", [("E8", 1), ("D4", 2), ("A2", 3),
                                       ("K12", 3), ("BW16", 2)])
-def test_closed_form_route(monkeypatch, enum_calls, name, ell):
+def test_closed_form_route(monkeypatch, enum_calls, fresh_certificates, name,
+                           ell):
     g = catalog(name).gram
-    d = modform.certified_decomposition(g)
     sturm = []
     monkeypatch.setattr(modform, "theta_coefficients",
                         lambda gram, depth, budget: sturm.append(depth)
                         or theta_coefficients(gram, depth, budget))
+    d = modform.certified_decomposition(g)
     for y in (0.05, 1.0 / math.sqrt(ell), 3.0):
         assert eval_theta_numeric(g, y) == \
             replace(eval_theta_numeric(d, y), route="closed_form")
         ev = secrecy_function(g, ell, y)
         assert ev.route == "closed_form"
         assert ev.xi == secrecy_function(d, ell, y).xi
-    # one enumeration to the Sturm depth per call, none on either side
-    del sturm[:]
     sym = 10.0 * math.log10(ell ** -0.5)
     assert secrecy_curve(g, ell, (sym - 3, sym + 3), 7) == \
         secrecy_curve(d, ell, (sym - 3, sym + 3), 7)
     assert locate_maximum(g, ell) == locate_maximum(d, ell)
     assert weak_secrecy_gain(g, ell) == weak_secrecy_gain(d, ell)
-    assert sturm == [4 if name in ("K12", "BW16") else 0] * 3
+    # one enumeration to the Sturm depth for the Gram, shared by every
+    # call, and none on either side
+    assert sturm == [4 if name in ("K12", "BW16") else 0]
     assert enum_calls == []
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 from modlat.qseries import QSeries, first_mismatch
@@ -153,3 +154,116 @@ def test_form_name_list_is_stable():
                           "Delta_24", "f1_l2", "Delta_4")
     t3 = jacobi_theta3(5)
     assert coeffs(t3, (0, 1, 4)) == [1, 2, 2]
+
+
+#: sha256 of `to_text()` of every named form at three orders and of the
+#: eta-quotient sides of the three identities at two, recorded from the
+#: sparse Fraction implementation this dense one replaced.
+TEXT_DIGESTS = {
+    "theta2@16":
+        "3bf2b09aa673d15d6f982b5a3bd85deb6caf8df7b6f5a4a90e475b8675b38ff6",
+    "theta2@161/4":
+        "abfbd5fce9ee4b2ba6b8d07b77eb61a750430288def5b6dd7ebd5b2f4760f2da",
+    "theta2@160":
+        "c1871b4798a32a8904d891535ff3cb961648f3ee4bf31d1cdbc668226dda003d",
+    "theta3@16":
+        "24a44a02c82ac3468393f68bfd12dbbd2484a9172555ba2994f57a6fce2445eb",
+    "theta3@161/4":
+        "48a850c17adc525707b2e0628e5e2c76b40b252b2d4cc5d50f8af454d2d78520",
+    "theta3@160":
+        "29c09f50befa2419dea11a399ba15ace81b3448983885cc588bb96f82ffa6cfc",
+    "theta4@16":
+        "12c2c71eda796824f8ccac652f4ff599d89d375c16cb5bb866616e1cfaafd3c5",
+    "theta4@161/4":
+        "1fa28a8593b51e2c2cb7d68244a72507ddc7ff5af06987402a5e23fec909c991",
+    "theta4@160":
+        "fd4fa0b853c63dde7db6a628616c00df17026d6b8e2d9c1c0f260d87d9cf43cc",
+    "eta@16":
+        "89e13b349d24c4266ac77542c9878fe3d6d9ca6423b0ac30470c2f5c53f068ff",
+    "eta@161/4":
+        "f207ed5fc58963311bdb1327f3eb81f61c4fa5ebb2620918ca616ea9084bec6b",
+    "eta@160":
+        "f877245fdc0473089219a845937062121b8239f97201312f28180274e2bb3a3c",
+    "Theta_D4@16":
+        "7828167e5614a90384ba238b47e395e4d9bfaf1a4488a121d8512cd61d8972e8",
+    "Theta_D4@161/4":
+        "efbcedbf65880c9ef2e40ecb14558a5a47fd0b61abf229fb578678c383ebf0f5",
+    "Theta_D4@160":
+        "7b1d8cac233c43f321c17dc7b1f1023587e1b70151e88a4493791d7e36fb0736",
+    "Delta_16@16":
+        "f617e0f474c6e351adab6547c89e18748a45af89fda06f5c2ba1b07690e11ff4",
+    "Delta_16@161/4":
+        "e5f27ed601dabd38aeb5357e55c9ce2b4ee9aaa25619c379c23a2f2d205a38f6",
+    "Delta_16@160":
+        "c75a2832bb6bd5c22f3412b73733bb5b551e9f218720e62818d1ba527e68992d",
+    "Theta_A2@16":
+        "b67ab1b97104f5032a1787189090e6960b8bdb33225ca2e97a780322ba86f485",
+    "Theta_A2@161/4":
+        "d9d3918db600367e3a7edc57e8428a0d50b6d7ac3206ff3ea91e194b8c532b4a",
+    "Theta_A2@160":
+        "cefe0761e709f4f72f3d59908b53a931cbbfa431d267646d8d3a30f7194c894e",
+    "Delta_12@16":
+        "159e7e4309a67d26853415979e1f0fcdf9691821edf497c5598cf586f09d1e93",
+    "Delta_12@161/4":
+        "0408aa11b87fa006d043f0f703df73814722445621a6141d42319ff3821e3f46",
+    "Delta_12@160":
+        "e531100638b02b591b9bc408a886bc4249b4d74df2530b12de7b1e3a6f9552b9",
+    "Theta_E8@16":
+        "8cf730428ece5fd38ba27c80461016d1d66d182d8d17a012be3234ebe655a9de",
+    "Theta_E8@161/4":
+        "e8fc0719c6513381af4c7a1671fc2d4bc2ae9c19d71e0a8589ef5e68661ff0c6",
+    "Theta_E8@160":
+        "2d88842c063d055cfe23260b63a4e90ad5103c718a90fa5fccc05d62a423b0f0",
+    "Delta_24@16":
+        "92874ec30ee11688c5ea31fbac802eaf250a0b0a105fa73266b5f0a3175519a2",
+    "Delta_24@161/4":
+        "023140efda37139e1df9d5f2f7ca53d366acf4b7725dd7c5188d985f36b8defe",
+    "Delta_24@160":
+        "a7b0594db6edfc7f7bdd1f1ef7a6ed0d871c405e99ad25453cd49de2adfd544e",
+    "f1_l2@16":
+        "6e1d26b00fd4b069286873f36cc6fa134e8cbce1510dcdd2a8ac6a080684b5b1",
+    "f1_l2@161/4":
+        "21c552db8ca167b592e4ded971bb2d32fa345deb7b1ea8a7dab943c570bf6b91",
+    "f1_l2@160":
+        "2ecdd1cbdd029bf01d261e01feb575b7fcd39a058d42a36db085139d8100193e",
+    "Delta_4@16":
+        "4d797999b7fbaf92e2ea9a10d5f4a855245bfcc0baac4725d5a2c9b49c48a3ea",
+    "Delta_4@161/4":
+        "c17f3c76754030330c7a9ec5f1da1b5391f30cba9b8212690173eaff0011e02c",
+    "Delta_4@160":
+        "905b2b7d6a773aa9c68146a2cf32e70086a5d5d79e661b75b6ced45870f2ebe5",
+    "2*eta(2t)^2/eta(t)@12":
+        "2ba03d52b3f2fe87602a55235f8349395c95eb89459b3de220f7ba8d8fb85e41",
+    "2*eta(2t)^2/eta(t)@161/4":
+        "abfbd5fce9ee4b2ba6b8d07b77eb61a750430288def5b6dd7ebd5b2f4760f2da",
+    "eta(t)^5/(eta(t/2)^2*eta(2t)^2)@12":
+        "4537e968be2d1e9e79aca03aa9d939aa1ced2cc638107de7c1fe1a40a3e28169",
+    "eta(t)^5/(eta(t/2)^2*eta(2t)^2)@161/4":
+        "48a850c17adc525707b2e0628e5e2c76b40b252b2d4cc5d50f8af454d2d78520",
+    "eta(t/2)^2/eta(t)@12":
+        "898aa198f3fcfc06545b3c36619f101c917165885bb4e29b6b3462abe4c7b800",
+    "eta(t/2)^2/eta(t)@161/4":
+        "1fa28a8593b51e2c2cb7d68244a72507ddc7ff5af06987402a5e23fec909c991",
+}
+
+
+IDENTITY_SIDES = {
+    "2*eta(2t)^2/eta(t)":
+        lambda o: 2 * eta_quotient([(2, 2)], [(1, 1)], o),
+    "eta(t)^5/(eta(t/2)^2*eta(2t)^2)":
+        lambda o: eta_quotient([(1, 5)], [(Fraction(1, 2), 2), (2, 2)], o),
+    "eta(t/2)^2/eta(t)":
+        lambda o: eta_quotient([(Fraction(1, 2), 2)], [(1, 1)], o),
+}
+
+
+def test_expansions_match_pinned_digests():
+    got = {}
+    for name in FORM_NAMES:
+        for order in (Fraction(16), Fraction(161, 4), Fraction(160)):
+            got["%s@%s" % (name, order)] = expand(name, order).to_text()
+    for side, f in IDENTITY_SIDES.items():
+        for order in (Fraction(12), Fraction(161, 4)):
+            got["%s@%s" % (side, order)] = f(order).to_text()
+    assert {k: hashlib.sha256(v.encode()).hexdigest()
+            for k, v in got.items()} == TEXT_DIGESTS
