@@ -61,18 +61,6 @@ def _spread(ints, f):
     return out
 
 
-def _prime_factors(n):
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            yield p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        yield n
-
-
 def _bias(width, count):
     """The integer with 2^(8*width - 1) in each of `count` slots of `width`
     bytes: adding it makes every signed slot value non-negative."""
@@ -256,9 +244,10 @@ class QSeries:
         if exponent >= self.trunc:
             raise QueryBeyondTruncation(
                 "exponent %s >= truncation order %s" % (exponent, self.trunc))
-        k = exponent * self.den
-        i, r = divmod(k.numerator - self.start, self.step)
-        if k.denominator != 1 or r or not 0 <= i < len(self.ints):
+        # exponent = (start + step*i)/den, i an integer in range
+        e, f = exponent.numerator, exponent.denominator
+        i, r = divmod(e * self.den - self.start * f, self.step * f)
+        if r or not 0 <= i < len(self.ints):
             return Fraction(0)
         return self.scale * self.ints[i]
 
@@ -523,13 +512,15 @@ class SeriesMatrix(NamedTuple):
         if trunc > self.trunc:
             raise ValueError("truncation %s beyond the matrix's %s"
                              % (trunc, self.trunc))
-        w = [s * c for c, s in zip(weights, self.scales)]
-        common = lcm(*(x.denominator for x in w))
+        # weight times scale as (numerator, denominator), unreduced
+        w = [(s.numerator * c.numerator, s.denominator * c.denominator)
+             for c, s in zip(weights, self.scales)]
+        common = lcm(*(d for _, d in w))
         rows = _count(self.start, self.step, trunc * self.den)
         out = [0] * rows
-        for x, col in zip(w, self.columns):
-            if x:
-                k = x.numerator * (common // x.denominator)
+        for (n, d), col in zip(w, self.columns):
+            if n:
+                k = n * (common // d)
                 out = list(map(add, out, map(mul, col[:rows], repeat(k))))
         return QSeries._new(self.den, self.start, self.step, out,
                             Fraction(1, common), trunc)

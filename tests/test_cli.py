@@ -166,6 +166,9 @@ def test_out_file(run, tmp_path):
     "curve --gram /nonexistent",
     "gain",
     "gain Zn",
+    # the budget reaches the secrecy functions' enumerations
+    "gain ExampleDim8 --budget 10",
+    "curve ExampleDim8 --budget 10 --samples 3",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv.split()) == 2

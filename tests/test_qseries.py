@@ -235,7 +235,7 @@ def series(draw):
     return s
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(series(), series())
 def test_product_matches_schoolbook(a, b):
     assert a * b == schoolbook(a, b)
@@ -243,7 +243,7 @@ def test_product_matches_schoolbook(a, b):
     assert a * a == schoolbook(a, a)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(series())
 def test_inverse_times_series_is_one(s):
     if s.is_zero():
