@@ -139,11 +139,12 @@ class QSeries:
                 raise ValueError("stored exponent %s/%s >= truncation %s"
                                  % (n, den, trunc))
         start = min(clean, default=0)
-        ints = [0] * (max(clean) - start + 1 if clean else 0)
+        step = gcd(*(n - start for n in clean)) or 1
+        ints = [0] * ((max(clean) - start) // step + 1 if clean else 0)
         common = lcm(*(c.denominator for c in clean.values()))
         for n, c in clean.items():
-            ints[n - start] = c.numerator * (common // c.denominator)
-        self._init(den, start, 1, ints, Fraction(1, common), trunc)
+            ints[(n - start) // step] = c.numerator * (common // c.denominator)
+        self._init(den, start, step, ints, Fraction(1, common), trunc)
 
     @classmethod
     def _new(cls, den, start, step, ints, scale, trunc):

@@ -5,8 +5,10 @@ Each named form is written once, in `FORMULAS`, as a formula over the
 four primitives theta2, theta3, theta4 and eta.  `expand` reads it with
 the exact expansions defined here, and `secrecy.form_numeric` reads the
 same formula with float evaluators.  Composite forms are memoized per
-(name, scale, order); the cache is fill-once and idempotent, so
-concurrent reads are safe.
+(name, scale, order); each is cut down from one expansion per name to
+an order rounded up to a multiple of ORDER_STEP, so nearby orders share
+its integers.  The caches are fill-once and idempotent, so concurrent
+reads are safe.
 """
 
 from __future__ import annotations
