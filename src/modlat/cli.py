@@ -211,12 +211,13 @@ def cmd_catalog(args):
     tables = [r.name for r in fixtures.TABLE1 + fixtures.TABLE2]
     lines = (["catalog lattices (Gram shipped):"]
              + ["  " + n for n in names]
+             + ["  Z<n>  (the cubic lattice Z^n, e.g. Z16)"]
              + ["table fixtures (decomposition shipped):"]
              + ["  " + n for n in tables]
              + ["named forms:"]
              + ["  " + n for n in theta.FORM_NAMES])
-    _emit(args, lines, {"catalog": names, "fixtures": tables,
-                        "forms": list(theta.FORM_NAMES)})
+    _emit(args, lines, {"catalog": names, "patterns": ["Z<n>"],
+                        "fixtures": tables, "forms": list(theta.FORM_NAMES)})
     return 0
 
 

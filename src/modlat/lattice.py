@@ -511,7 +511,7 @@ EXAMPLE_DIM8 = [[2, 1, 0, -1, 0, 2, -1, -2],
 
 
 def catalog(name):
-    """Named lattice lookup.  Zn is available for any n as e.g. "Z16"."""
+    """Named lattice lookup: a name in CATALOG_NAMES, or Z<n>, e.g. "Z16"."""
     from . import fixtures
 
     if name.startswith("Z") and name[1:].isdigit() and int(name[1:]) >= 1:
@@ -532,5 +532,5 @@ def catalog(name):
     return _entry(name, *table[name])
 
 
-CATALOG_NAMES = ("Zn", "A2", "D4", "E8", "C1", "C2", "C3", "K12", "BW16",
+CATALOG_NAMES = ("A2", "D4", "E8", "C1", "C2", "C3", "K12", "BW16",
                  "ExampleDim8")

@@ -1,9 +1,9 @@
 """Numerical evaluation of theta series and secrecy functions on the
 imaginary axis tau = i*y.
 
-The four primitives theta2, theta3, theta4 and eta are summed in
-floats here; every other named form is read from `theta.FORMULAS` by
-`form_numeric`, so the exact and float paths share one formula.
+`form_numeric` reads a named form from `theta.FORMULAS` with the float
+reading of the primitives there, so the exact and float paths share
+one formula and one series per primitive.
 
 A Gram reaches the secrecy functions by one of three routes, decided
 once per call from the Gram alone and reported as `route` in
@@ -46,64 +46,20 @@ from dataclasses import dataclass, replace
 from .errors import TailBoundNotMet
 from .lattice import DEFAULT_BUDGET, GramMatrix, _inverse, theta_coefficients
 from .modform import ThetaDecomposition, certified_decomposition
-from .theta import FORMULAS
+from .theta import FORMULAS, eta, jacobi_theta2, jacobi_theta3, jacobi_theta4
 
 _EPS_DEFAULT = 1e-12
 
 
-def theta3_numeric(y, scale=1.0):
-    """theta3 at tau = i*scale*y: 1 + 2*sum exp(-pi*scale*y*m^2)."""
-    a = math.pi * scale * y
-    s = 1.0
-    m = 1
-    while True:
-        t = 2.0 * math.exp(-a * m * m)
-        s += t
-        if t < 1e-18 * s:
-            return s
-        m += 1
-
-
-def theta2_numeric(y, scale=1.0):
-    a = math.pi * scale * y
-    s = 0.0
-    m = 0
-    while True:
-        t = 2.0 * math.exp(-a * (m + 0.5) ** 2)
-        s += t
-        if t <= 1e-18 * s:  # both 0.0 once exp underflows
-            return s
-        m += 1
-
-
-def theta4_numeric(y, scale=1.0):
-    a = math.pi * scale * y
-    s = 1.0
-    m = 1
-    while True:
-        t = 2.0 * math.exp(-a * m * m)
-        s += t if m % 2 == 0 else -t
-        if t < 1e-18 * abs(s):
-            return s
-        m += 1
-
-
-def eta_numeric(y, scale=1.0):
-    a = math.pi * scale * y
-    s = math.exp(-a / 12.0)
-    m = 1
-    while True:
-        f = math.exp(-2.0 * a * m)
-        s *= 1.0 - f
-        if f < 1e-18:
-            return s
-        m += 1
+#: The primitives at tau = i*scale*y, in floats (`theta.Primitive.numeric`).
+_theta2, theta3_numeric, _theta4, _eta = (
+    jacobi_theta2.numeric, jacobi_theta3.numeric, jacobi_theta4.numeric,
+    eta.numeric)
 
 
 def form_numeric(name, y):
     """Value at tau = i*y of a named form, read from `theta.FORMULAS`."""
-    return FORMULAS[name](y, theta2_numeric, theta3_numeric, theta4_numeric,
-                          eta_numeric)
+    return FORMULAS[name](y, _theta2, theta3_numeric, _theta4, _eta)
 
 
 @dataclass(frozen=True)
@@ -128,7 +84,7 @@ def eval_decomposition_numeric(d: ThetaDecomposition, y):
     total = 0.0
     for (e1, e2), c in zip(d.basis.terms, d.coeffs):
         total += float(c) * v1 ** e1 * v2 ** e2
-    # generator evaluators converge to relative 1e-18; powers inflate that
+    # the generators' rounding, inflated by the powers, grows with n
     n = d.basis.n
     return ThetaValue(total, abs(total) * n * 1e-16, 0)
 
@@ -387,13 +343,39 @@ class _GramTheta:
 
     def value(self, y):
         if self.cubic:
-            # the one-dimensional theta factorizes
-            return ThetaValue(theta3_numeric(y) ** self.n, 0.0, 0, "primal")
+            return self._cubic(y)
         i, cut = self.plan(y)
         side = self.sides[i]
         if cut[i] > side.depth:  # a point no prepare call planned
             side.enumerate(cut[i], self.budget)
         return side.read(y, cut[i])
+
+    def _cubic(self, y):
+        """ThetaValue of Z^n at i*y: theta3(iy)^n, with a proven bound.
+
+        Against theta3 = theta3(iy), s = theta3_numeric(y) = 1 + sum_{m>=1}
+        2 e^(-x_m), x_m the float of a*m^2, a = pi*y, errs by at most
+        rho*s, the sum of (as in `_Side.read`; u = 2^-53, q = e^-a):
+          - the truncation, below 2^-54 s (`theta.Primitive.numeric`);
+          - the terms, gamma_2 + gamma_3 x_m each from exp and from
+            rounding pi, a and x_m; sum_{m>=1} 2 x_m e^(-x_m) is at most
+            sqrt(pi/a)/2 + 2/e (the integral over t >= 0 plus the peak),
+            so at most (1/2 + 2/e) theta3, as theta3 >= max(1, y^(-1/2));
+          - the sum: adding t errs by at most min(u s, t); at most
+            sqrt(ln(4/u)/a) terms reach u, and the rest, falling by a
+            factor q or more, sum to at most u/(1 - q).
+        s^n is rounded once more, so it errs by (1 + rho)^n (1 + gamma_2)
+        - 1, relative, rounded up.
+        """
+        value = theta3_numeric(y) ** self.n
+        a = math.pi * y
+        u = 2.0 ** -53
+        rho = (2.0 ** -54 + _gamma(2) + _gamma(3) * (0.5 + 2.0 / math.e)
+               + u * (math.sqrt(math.log(4.0 / u) / a)
+                      - 1.0 / math.expm1(-a)))
+        bound = value * math.expm1(self.n * math.log1p(rho)
+                                   + math.log1p(_gamma(2))) * _ROUND_UP
+        return ThetaValue(value, bound, 0, "primal")
 
 
 def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
@@ -439,8 +421,6 @@ def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):
         return replace(eval_decomposition_numeric(d, y), route="closed_form")
     if isinstance(source, _GramTheta):
         return source.value(y)
-    if isinstance(source, str):
-        return ThetaValue(form_numeric(source, y), 0.0, 0)
     raise TypeError("unsupported theta source %r" % (source,))
 
 

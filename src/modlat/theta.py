@@ -1,10 +1,26 @@
 """Named q-expansions: Jacobi thetas, Dedekind eta, and the basis forms.
 
-Everything is exact; see `qseries` for the q = e^{pi*i*tau} convention.
-Each named form is written once, in `FORMULAS`, as a formula over the
-four primitives theta2, theta3, theta4 and eta.  `expand` reads it with
-the exact expansions defined here, and `secrecy.form_numeric` reads the
-same formula with float evaluators.  Composite forms are memoized per
+See `qseries` for the q = e^{pi*i*tau} convention.  Each named form is
+one formula in `FORMULAS` over theta2, theta3, theta4 and eta, and each
+of these is one `Primitive`: q^lead * sum_i c_i q^(e_i), its integer
+terms ascending from e_0 = 0 (eta's by Euler's pentagonal theorem, as
+eta(tau) = q^(1/12) prod_{m >= 1} (1 - q^(2m)) in this nome).  Past the
+first term every |c_i| is at most `bound` and every step of e at least
+`gap`, so at q = e^-x the terms after the one of exponent e sum in
+absolute value to at most bound * q^e * (r + r^2 + ...), r = q^gap,
+which is at most bound * q^e / (gap*x) as 1/r - 1 >= gap*x.
+
+Calling a primitive (jacobi_theta2/3/4, eta) reads it exactly, up to
+the first term at or past the order, for `expand`.
+`Primitive.numeric` reads it in floats at tau = i*scale*y, x =
+pi*scale*y, for `secrecy.form_numeric`: it sums c_i e^(-x*e_i) until
+that tail bound is at most 2^-55 |s| (0 once exp underflows), below
+half an ulp of the partial sum s by a factor of two that covers the
+bound's own rounding, then multiplies by e^(-x*lead).  A point that
+needs over MAX_TERMS terms raises TailBoundNotMet.  The rounding of
+the terms and their sum is left to callers (`secrecy._GramTheta`).
+
+Composite forms are memoized per
 (name, scale, order); each is cut down from one expansion per name to
 an order rounded up to a multiple of ORDER_STEP, so nearby orders share
 its integers.  The caches are fill-once and idempotent, so concurrent
@@ -13,74 +29,78 @@ reads are safe.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count, islice
 
+from .errors import TailBoundNotMet
 from .qseries import DEFAULT_ORDER, QSeries, first_mismatch
 
-
-def jacobi_theta2(order=DEFAULT_ORDER, scale=Fraction(1)):
-    """theta_2(scale*tau): sum over m of q^{scale*(m+1/2)^2}."""
-    order, scale = Fraction(order), Fraction(scale)
-    terms = []
-    m = 0
-    while scale * Fraction((2 * m + 1) ** 2, 4) < order:
-        terms.append((scale * Fraction((2 * m + 1) ** 2, 4), Fraction(2)))
-        m += 1
-    return QSeries.from_terms(terms, order)
+#: Most terms a float reading sums.
+MAX_TERMS = 2 ** 16
 
 
-def jacobi_theta3(order=DEFAULT_ORDER, scale=Fraction(1)):
-    """theta_3(scale*tau): sum over m of q^{scale*m^2}."""
-    order, scale = Fraction(order), Fraction(scale)
-    terms = [(Fraction(0), Fraction(1))]
-    m = 1
-    while scale * m * m < order:
-        terms.append((scale * m * m, Fraction(2)))
-        m += 1
-    return QSeries.from_terms(terms, order)
+class Primitive:
+    """q^lead * sum_i c_i q^(e_i), read exactly or in floats."""
+
+    def __init__(self, name, lead, gap, bound, terms):
+        self.name, self.lead, self.terms = name, lead, terms
+        self._lead = float(lead)
+        self._stop = bound / gap * 2.0 ** 55
+        self._first = float(next(terms())[1])
+        self._floats = ()
+
+    def __call__(self, order=DEFAULT_ORDER, scale=Fraction(1)):
+        """p(scale*tau) as an exact q-expansion below order."""
+        order, scale = Fraction(order), Fraction(scale)
+        terms = []
+        for e, c in self.terms():
+            x = scale * (self.lead + e)
+            if x >= order:
+                return QSeries.from_terms(terms, order)
+            terms.append((x, c))
+
+    def numeric(self, y, scale=1.0):
+        """p at tau = i*scale*y in floats, truncated below half an ulp."""
+        x = math.pi * scale * y
+        if not x > 0:
+            raise ValueError("scale*y must be positive")
+        # stop once bound * q^e / (gap*x) <= 2^-55 |s|
+        k = self._stop / x
+        exp = math.exp
+        while True:
+            s = self._first
+            for e, c in self._floats:
+                t = exp(-x * e)
+                s += c * t
+                if t * k <= abs(s):
+                    return s * exp(-x * self._lead) if self._lead else s
+            size = 2 * len(self._floats) or 32
+            if size > MAX_TERMS:
+                raise TailBoundNotMet("%s at tau = i*%r*%r needs over %d terms"
+                                      % (self.name, scale, y, MAX_TERMS))
+            self._floats = tuple((float(e), float(c)) for e, c in
+                                 islice(self.terms(), 1, size + 1))
 
 
-def jacobi_theta4(order=DEFAULT_ORDER, scale=Fraction(1)):
-    """theta_4(scale*tau): sum over m of (-q)^{scale*m^2}... signs (-1)^m."""
-    order, scale = Fraction(order), Fraction(scale)
-    terms = [(Fraction(0), Fraction(1))]
-    m = 1
-    while scale * m * m < order:
-        terms.append((scale * m * m, Fraction(2) * (-1) ** m))
-        m += 1
-    return QSeries.from_terms(terms, order)
-
-
-def eta(order=DEFAULT_ORDER, scale=Fraction(1)):
-    """Dedekind eta(scale*tau) = q^{scale/12} * sum_k (-1)^k q^{scale*k(3k-1)}.
-
-    In this nome eta(tau) = q^{1/12} * prod_{m >= 1} (1 - q^{2m}), and
-    Euler's pentagonal number theorem expands the product as the sum
-    over all integers k of (-1)^k q^{k(3k-1)}: twice the generalized
-    pentagonal numbers 0, 1, 2, 5, 7, 12, 15, ... carry the coefficients
-    +-1 and every other exponent 0.  So each term is read off directly,
-    with no product at all.  The exponents for k and -k are
-    scale*k(3k-1) < scale*k(3k+1), both below the next k's.
-    """
-    order, scale = Fraction(order), Fraction(scale)
-    shift = scale / 12
-    terms = []
-    k = 0
-    while shift + scale * k * (3 * k - 1) < order:
-        sign = (-1) ** k
-        terms.append((shift + scale * k * (3 * k - 1), sign))
-        if k:
-            terms.append((shift + scale * k * (3 * k + 1), sign))
-        k += 1
-    return QSeries.from_terms(terms, order)
-
+jacobi_theta2 = Primitive("theta2", Fraction(1, 4), 2, 2,  # steps 2m + 2
+                          lambda: ((m * m + m, 2) for m in count()))
+jacobi_theta3 = Primitive("theta3", 0, 1, 2,  # steps 2m + 1
+                          lambda: chain([(0, 1)], ((m * m, 2)
+                                                   for m in count(1))))
+jacobi_theta4 = Primitive("theta4", 0, 1, 2,
+                          lambda: chain([(0, 1)], ((m * m, 2 * (-1) ** m)
+                                                   for m in count(1))))
+eta = Primitive("eta", Fraction(1, 12), 2, 1,  # steps 2k, 4k + 2
+                lambda: chain([(0, 1)], ((k * (3 * k + d), (-1) ** k)
+                                         for k in count(1) for d in (-1, 1))))
 
 #: Every named form as one formula over the four primitives.  Each
 #: formula takes a point x and the primitives t2, t3, t4, eta, each called
 #: as f(x, scale) for f(scale*tau).  `expand` passes the truncation order
-#: and the exact expansions below; `secrecy.form_numeric` passes y and
-#: the float evaluators at tau = i*y.  Scales are ints: floats round as
+#: and the primitives themselves; `secrecy.form_numeric` passes y and
+#: their `numeric`, at tau = i*y.  Scales are ints: floats round as
 #: with float scales, and the exact caches key as with Fraction scales.
 FORMULAS = {
     "theta2": lambda x, t2, t3, t4, eta: t2(x, 1),
@@ -150,12 +170,8 @@ def eta_quotient(numerator_scales, denominator_scales, order=DEFAULT_ORDER):
     num = [(Fraction(c), int(e)) for c, e in numerator_scales]
     e0 = sum((c * e for c, e in den), Fraction(0)) / 12
     work = order + 2 * e0
-    p = QSeries.one(work)
-    for c, e in num:
-        p = p * eta(work, c) ** e
-    d = QSeries.one(work)
-    for c, e in den:
-        d = d * eta(work, c) ** e
+    p = math.prod((eta(work, c) ** e for c, e in num), start=QSeries.one(work))
+    d = math.prod((eta(work, c) ** e for c, e in den), start=QSeries.one(work))
     return p * d.invert_unit()
 
 

@@ -166,6 +166,8 @@ def test_out_file(run, tmp_path):
     "curve --gram /nonexistent",
     "gain",
     "gain Zn",
+    # theta2 and theta3 would need more than theta.MAX_TERMS terms
+    "curve A2 --range -120:-110 --samples 2",
     # the budget reaches the secrecy functions' enumerations
     "gain ExampleDim8 --budget 10",
     "curve ExampleDim8 --budget 10 --samples 3",

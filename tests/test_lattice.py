@@ -53,8 +53,6 @@ def test_bw16_and_k12_leading_counts():
 
 def test_determinant_matches_level():
     for name in CATALOG_NAMES:
-        if name == "Zn":
-            continue
         e = catalog(name)
         n = e.gram.n
         assert e.gram.determinant() == Fraction(e.ell) ** (n // 2), name
@@ -126,8 +124,7 @@ def _check_exact_factors(gram):
                                    for i in range(n)]
 
 
-@pytest.mark.parametrize("name", [n if n != "Zn" else "Z3"
-                                  for n in CATALOG_NAMES])
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("Z3",))
 def test_exact_factors_catalog(name):
     g = catalog(name).gram
     _check_exact_factors(g)

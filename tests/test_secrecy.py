@@ -36,7 +36,7 @@ def test_float_form_matches_exact_expansion(name, y):
     # q = e^{-pi*y}; past order 40 every term carries e^{-20*pi} < 1e-27
     exact = sum(float(c) * math.exp(-math.pi * y * float(e))
                 for e, c in expand(name, 40).terms())
-    value = eval_theta_numeric(name, y).value
+    value = secrecy.form_numeric(name, y)
     assert value == pytest.approx(exact, rel=1e-13, abs=0)
 
 
@@ -238,6 +238,19 @@ def test_proven_tail_bound(entries, den, y, eps):
                     for m, k in theta_coefficients(g, deep))
     assert abs(tv.value - ref) <= tv.bound_on_tail + 1e-15 * tv.value
     assert tv.bound_on_tail <= eps * tv.value
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cubic_shortcut_bound(n):
+    # an identity Gram is read as theta3^n; its bound covers the
+    # truncation and the rounding of the sum and of the power
+    mpmath = pytest.importorskip("mpmath")
+    g = GramMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    with mpmath.workdps(30):
+        for y in (0.25, 0.5, 1.0, 2.0):
+            tv = eval_gram_numeric(g, y)
+            ref = mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * y)) ** n
+            assert abs(tv.value - ref) <= tv.bound_on_tail, (n, y)
 
 
 def test_zn_flat():

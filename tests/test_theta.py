@@ -1,6 +1,9 @@
 import hashlib
 from fractions import Fraction
 
+import pytest
+
+from modlat.errors import TailBoundNotMet
 from modlat.qseries import QSeries, first_mismatch
 from modlat.theta import (FORM_NAMES, eta, eta_quotient, expand,
                           jacobi_theta2, jacobi_theta3, jacobi_theta4,
@@ -267,3 +270,53 @@ def test_expansions_match_pinned_digests():
             got["%s@%s" % (side, order)] = f(order).to_text()
     assert {k: hashlib.sha256(v.encode()).hexdigest()
             for k, v in got.items()} == TEXT_DIGESTS
+
+
+#: Each float primitive as a sum over n in Z of +-q^(alpha*(n + beta)^2):
+#: (primitive, alpha, beta as a pair, its mpmath.jtheta index or None).
+_Z_SUMS = [(jacobi_theta2, 1, (1, 2), 2), (jacobi_theta3, 1, (0, 1), 3),
+           (jacobi_theta4, 1, (0, 1), 4), (eta, 3, (-1, 6), None)]
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 6])
+def test_float_primitives_against_mpmath(scale):
+    """theta2, theta3, theta4 and eta in floats against mpmath.jtheta and
+    mpmath.eta at 30 digits, at 41 points y in [0.05, 20].
+
+    The float reading leaves out less than 2^-55 of its sum.  Each term
+    e^(-x_n) with x_n = pi*scale*y*alpha*(n + beta)^2 carries a few
+    roundings of x_n, so about 5*x_n ulps, and the exp and the sum about
+    one ulp each per term that counts.  So the tolerance is 2^-54 |value|
+    plus u*(8*A + 5*B), A = sum_n e^(-x_n) the absolute series and
+    B = sum_n x_n e^(-x_n), u = 2^-53.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    with mpmath.workdps(30):
+        for prim, alpha, (bn, bd), k in _Z_SUMS:
+            beta = mpmath.mpf(bn) / bd
+            for i in range(41):
+                y = 0.05 * 400.0 ** (i / 40)
+                x = mpmath.pi * scale * y
+                if k is None:
+                    ref = mpmath.eta(1j * scale * mpmath.mpf(y)).real
+                else:
+                    ref = mpmath.jtheta(k, 0, mpmath.exp(-x))
+                xs = [x * alpha * (n + beta) ** 2 for n in range(-40, 41)]
+                a = mpmath.fsum(mpmath.exp(-t) for t in xs)
+                b = mpmath.fsum(t * mpmath.exp(-t) for t in xs)
+                value = prim.numeric(y, scale)
+                tol = 2.0 ** -54 * abs(value) + u * (8 * a + 5 * b)
+                assert abs(value - ref) <= tol, (prim.name, scale, y)
+
+
+def test_float_primitive_needing_too_many_terms_raises():
+    # theta3 would need about 4e5 terms here
+    with pytest.raises(TailBoundNotMet):
+        jacobi_theta3.numeric(1e-10)
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0, float("nan")])
+def test_float_primitive_rejects_non_positive_points(y):
+    with pytest.raises(ValueError):
+        jacobi_theta4.numeric(y)
