@@ -37,8 +37,8 @@ from itertools import chain, count, islice
 from .errors import TailBoundNotMet
 from .qseries import DEFAULT_ORDER, QSeries, first_mismatch
 
-#: Most terms a float reading sums.
-MAX_TERMS = 2 ** 16
+#: Most terms a float reading sums, enough down to scale*y of about 1e-6.
+MAX_TERMS = 2 ** 12
 
 
 class Primitive:
@@ -46,7 +46,7 @@ class Primitive:
 
     def __init__(self, name, lead, gap, bound, terms):
         self.name, self.lead, self.terms = name, lead, terms
-        self._lead = float(lead)
+        self._num, self._den = Fraction(lead).as_integer_ratio()
         self._stop = bound / gap * 2.0 ** 55
         self._first = float(next(terms())[1])
         self._floats = ()
@@ -75,7 +75,8 @@ class Primitive:
                 t = exp(-x * e)
                 s += c * t
                 if t * k <= abs(s):
-                    return s * exp(-x * self._lead) if self._lead else s
+                    return (s * exp(-x * self._num / self._den)
+                            if self._num else s)
             size = 2 * len(self._floats) or 32
             if size > MAX_TERMS:
                 raise TailBoundNotMet("%s at tau = i*%r*%r needs over %d terms"
