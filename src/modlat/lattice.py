@@ -4,18 +4,23 @@ enumeration, and the catalog of named lattices.
 The enumeration oracle is the independent check for every closed-form
 expansion in the package: it counts lattice vectors of each norm by a
 Fincke-Pohst (1985) bounded search.  A rational Gram is first scaled by
-the lcm of its denominators, so every Gram takes one exact-integer path.
-The search tree is expanded one level at a time over batches of nodes in
-numpy: float centres and a guard band on the cutoff decide the pruning,
-while exact integer partial sums give each vector's norm.  The integers
-are int64 while a coordinate cap, derived before the search and checked
+the lcm of its denominators, so every Gram takes one exact-integer path,
+and the search runs in an LLL-reduced basis of the same lattice (Lenstra,
+Lenstra and Lovasz 1982), formed exactly in integers and kept on the
+Gram, where its tree is smaller.  The search tree is expanded one level
+at a time over batches of nodes in numpy: float centres and a guard band
+on the cutoff decide the pruning, and each node expands only the
+children its float test can keep, up to a proven rounding slack, while
+exact integer partial sums give each vector's norm.  The integers are
+int64 while a coordinate cap, derived before the search and checked
 during it, keeps them below 2^62, and Python ints otherwise, so counts
-are exact for every Gram.
+are exact for every Gram.  A node budget counts the nodes kept by the
+search in the reduced basis.
 
 Every exact linear solve in the package is `_bareiss`, one fraction-free
 elimination on a matrix scaled to integers: a Gram's positive-definiteness
-check and LDL^T factors, its inverse (the dual lattice and the level) and
-the decomposition coefficients.
+check and LDL^T factors, those of its reduced basis, its inverse (the
+dual lattice and the level) and the decomposition coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, isqrt, lcm, sqrt
+from operator import mul
 
 import numpy as np
 
@@ -35,10 +41,11 @@ class GramMatrix:
     """Symmetric positive-definite matrix of exact rationals.
 
     `ldl` holds the exact LDL^T factors (L, d) found by the
-    positive-definiteness check at construction.
+    positive-definiteness check at construction.  The reduced basis
+    `theta_coefficients` searches in is kept in `_reduced` once formed.
     """
 
-    __slots__ = ("entries", "n", "ldl", "_hash")
+    __slots__ = ("entries", "n", "ldl", "_hash", "_reduced")
 
     def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -67,6 +74,7 @@ class GramMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ldl", (L, d))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GramMatrix is immutable")
@@ -237,10 +245,15 @@ def hnf_basis(rows):
 DEFAULT_BUDGET = 10 ** 8
 
 #: Most children the enumerator expands in one batch.  The search keeps
-#: at most one pending batch per tree level, so this bounds its memory:
+#: at most one pending batch per tree level, so this bounds its memory.
+#: A reduced basis fills more levels at once than BW16's shipped one did:
 #: a BW16 search to norm 30 stopped by a budget of 2e6 nodes peaks at
-#: about 35 MB of arrays with 2^15, and 64 MB with 2^16.
-CHUNK = 1 << 15
+#: about 14 MB of arrays with 2^13, 26 MB with 2^14 and 50 MB with 2^15
+#: (35 MB in the shipped basis).  With 2^13 a batch's one-dimensional
+#: int64 arrays (64 KB) also stay below glibc's default 128 KB mmap
+#: threshold; a process whose threshold has grown runs mid-size searches
+#: 5-12% faster with 2^15.
+CHUNK = 1 << 13
 
 #: Exact integers at or above this magnitude are held as Python ints.
 _INT64_LIMIT = 1 << 62
@@ -254,16 +267,18 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     """Exact counts A_m of lattice vectors with norm m for m <= max_norm.
 
     The Gram is scaled by the lcm of its denominators to an integer
-    matrix G', so integral and rational Grams take one path.  A
-    Fincke-Pohst search over the float LDL^T decomposition, with a guard
-    band on the cutoff, expands one tree level at a time over a batch of
-    at most `CHUNK` children in numpy.  Beside the float centres it
-    carries the exact partial sums B_i = sum_{k>=j} G'_ik x_k and the
-    partial norm x^T G' x of each node, so every leaf's norm is an exact
-    integer and the counts are exact.  The integers are int64 while a
-    cap on the coordinates, checked as the search goes, keeps them below
-    2^62, and Python ints otherwise.  Nodes are counted as the search
-    accepts them; more than `budget` raises BoundTooLarge.
+    matrix G', so integral and rational Grams take one path, and G' is
+    LLL-reduced to G'' = U G' U^T, a Gram of the same lattice in a basis
+    the search is cheaper in (`_reduced`).  A Fincke-Pohst search of G''
+    over its float LDL^T decomposition, with a guard band on the cutoff,
+    expands one tree level at a time over a batch of at most `CHUNK`
+    children in numpy.  Beside the float centres it carries the exact
+    partial sums B_i = sum_{k>=j} G''_ik x_k and the partial norm
+    x^T G'' x of each node, so every leaf's norm is an exact integer and
+    the counts are exact.  The integers are int64 while a cap on the
+    coordinates, checked as the search goes, keeps them below 2^62, and
+    Python ints otherwise.  The search counts the nodes it keeps, in the
+    reduced basis; more than `budget` raises BoundTooLarge.
 
     Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
     floor(max_norm); rational Grams give the nonzero counts only, sorted
@@ -272,24 +287,134 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
-    scale, G = _scale_to_integers(gram.entries)
+    scale, G, L, d = _reduced(gram)
     qmax = floor(max_norm * scale)
-    counts = {0: 1}
-    # every nonzero vector has a positive integer norm under G'
+    tally = {}
+    # every nonzero vector has a positive integer norm under G''
     if gram.n and qmax:
-        Lq, dq = gram.ldl
-        L = np.array([[float(x) for x in row] for row in Lq])
-        d = [float(x) for x in dq]
         C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
         try:
-            tally = _search(G, L, d, C, qmax, budget, _int64_cap(G, qmax))
+            tally = _search(G, L, d, C, qmax, budget, _int64_cap(G, qmax))[0]
         except _OutsideCap:
-            tally = _search(G, L, d, C, qmax, budget, None)
-        counts.update((q, 2 * k) for q, k in tally.items())
+            tally = _search(G, L, d, C, qmax, budget, None)[0]
+    # the tally counts one of each pair +-x
     if scale == 1:
-        return [(Fraction(m), counts.get(m, 0))
-                for m in range(int(max_norm) + 1)]
-    return [(Fraction(q, scale), counts[q]) for q in sorted(counts)]
+        return [(Fraction(0), 1)] + [(Fraction(m), 2 * tally.get(m, 0))
+                                     for m in range(1, int(max_norm) + 1)]
+    return [(Fraction(0), 1)] + [(Fraction(q, scale), 2 * k)
+                                 for q, k in sorted(tally.items())]
+
+
+#: Lovasz constant of the reduction `_lll` makes.
+LLL_DELTA = 0.99
+
+#: Largest |mu| `_lll` leaves in place; above 1/2, so that rounding
+#: cannot make a size reduction repeat.
+LLL_ETA = 0.51
+
+
+def _reduced(gram):
+    """(s, G'', L, d): the basis `theta_coefficients` searches in.
+
+    s is the lcm of the Gram's denominators, G'' = U (s G) U^T for the
+    unimodular U of an LLL reduction (`_lll`), as integer rows, and L, d
+    are the exact LDL^T factors of G''/s rounded to floats.  Kept on the
+    Gram after the first call.  A Gram the reduction leaves as it is
+    (U = I) reuses its own factors.
+    """
+    if gram._reduced is None:
+        s, G = _scale_to_integers(gram.entries)
+        H = _lll(G) if gram.n > 1 else None
+        if H is None:
+            Lq, dq = gram.ldl
+            L = [[float(x) for x in row] for row in Lq]
+            d = [float(x) for x in dq]
+        else:
+            # the factors as the constructor forms them, with each
+            # quotient of integers rounded once (as float(Fraction) is);
+            # G'' is positive definite, so no row is exchanged
+            G, n = H, len(H)
+            U = _bareiss([row[:] for row in G])[0]
+            minors = [1] + [u[k] for k, u in enumerate(U)]
+            L = [[U[k][i] / minors[k + 1] if k < i else float(k == i)
+                  for k in range(n)] for i in range(n)]
+            d = [minors[k + 1] / (s * minors[k]) for k in range(n)]
+        object.__setattr__(gram, "_reduced", (s, G, np.array(L), d))
+    return gram._reduced
+
+
+def _lll(G):
+    """An LLL-reduced Gram U G U^T of an integer Gram G, or None if U = I.
+
+    The reduction of Lenstra, Lenstra and Lovasz ("Factoring polynomials
+    with rational coefficients", 1982) on the Gram alone, with Lovasz
+    constant `LLL_DELTA`.  Float Gram-Schmidt coefficients mu and
+    squared lengths b, recomputed from the exact Gram at each visit of a
+    row, decide the steps.  Each step, a size reduction or a swap, is an
+    exact integer operation on rows and columns, so the result is a Gram
+    of the same lattice whatever the floats do; the number of steps is
+    capped, so rounding cannot make it cycle.
+    """
+    n = len(G)
+    H = G
+    mu = [[0.0] * n for _ in range(n)]
+    b = [float(G[0][0])] + [0.0] * (n - 1)
+    k, steps = 1, 0
+    while k < n and steps < 64 * n * n:
+        steps += 1
+        row, mk, rk = H[k], mu[k], []
+        # rk[j] = mu_kj b_j = G_kj - sum_{i<j} mu_ji rk[i]
+        for j in range(k):
+            x = row[j] - sum(map(mul, mu[j], rk))
+            mk[j] = x / b[j]
+            rk.append(x)
+        if max(map(abs, mk[:k])) > LLL_ETA:
+            q = [0] * k
+            for j in range(k - 1, -1, -1):
+                if abs(mk[j]) > LLL_ETA:
+                    c = q[j] = round(mk[j])
+                    for i, x in enumerate(mu[j][:j]):
+                        mk[i] -= c * x
+                    mk[j] -= c
+            if H is G:
+                H = [list(r) for r in G]
+            row = _size_reduce(H, k, q)
+            rk = [x * y for x, y in zip(mk, b[:k])]
+        bk = row[k] - sum(map(mul, mk, rk))
+        if not bk > 0:
+            break  # rounding has swamped b_k; H is still a Gram of L
+        if bk < (LLL_DELTA - mk[k - 1] ** 2) * b[k - 1]:
+            if H is G:
+                H = [list(r) for r in G]
+            H[k - 1], H[k] = H[k], H[k - 1]
+            for r in H:
+                r[k - 1], r[k] = r[k], r[k - 1]
+            if k > 1:
+                k -= 1
+            else:
+                b[0] = float(H[0][0])
+        else:
+            b[k] = bk
+            k += 1
+    return None if H is G else H
+
+
+def _size_reduce(H, k, q):
+    """Replace basis vector k of the Gram H by b_k - sum_j q_j b_j.
+
+    With w = sum_j q_j H_j, row k becomes H_k - w off the diagonal and
+    H_kk - 2 w_k + q . w on it; column k follows.  Returns the new row.
+    """
+    w = [0] * len(H)
+    for j, c in enumerate(q):
+        if c:
+            w = [x + c * y for x, y in zip(w, H[j])]
+    new = [x - y for x, y in zip(H[k], w)]
+    new[k] = H[k][k] - 2 * w[k] + sum(c * x for c, x in zip(q, w))
+    H[k] = new
+    for r, x in zip(H, new):
+        r[k] = x
+    return new
 
 
 def _int64_cap(G, qmax):
@@ -305,25 +430,29 @@ def _int64_cap(G, qmax):
     return X if X >= 3 and qmax < _INT64_LIMIT else None
 
 
-def _truncate(a, dtype):
-    """int(x) of each float, toward zero, as int64 or Python ints."""
+def _integers(a, dtype):
+    """Integer-valued floats as int64 or Python ints."""
     if dtype is object:
         return np.array([int(x) for x in a.tolist()], dtype=object)
     return a.astype(np.int64)
 
 
 def _search(G, L, d, C, qmax, budget, cap):
-    """Batched Fincke-Pohst search; returns {x^T G' x: half-vector count}.
+    """Batched Fincke-Pohst search: ({x^T G x: half-vector count}, nodes).
 
     Only half of the nonzero vectors are visited: the last nonzero
-    coordinate is positive.  The float pruning repeats the scalar
-    recursion operation for operation, so the node count does not
-    depend on the batching.  With a `cap` the integers are int64 and
-    _OutsideCap is raised if a range reaches it; without, they are
-    Python ints.
+    coordinate is positive.  A child x_j = v of a node with float centre
+    c_j and budget rem is kept when the float test d_j (v - c_j)^2 <= rem
+    holds.  Each node expands only the v in its range, the roots of that
+    test widened by a proven rounding slack (see `ranges`), so the range
+    holds every child the test keeps: the set of kept nodes, and so the
+    node count, is that of a scalar recursion with the same test over
+    any range that holds the test's roots, and does not depend on the
+    batching.  With a `cap` the integers are int64 and _OutsideCap is
+    raised if a range reaches it; without, they are Python ints.
 
-    A batch holds the nodes of one level as arrays: float centre offsets
-    S, exact partial sums B, partial norms Q, float partial norms P, the
+    A batch holds the nodes of one level as arrays: float centres c,
+    exact partial sums B, partial norms Q, float partial norms P, the
     float budget rem = C - P left for the lower levels, and the ranges
     [lo, hi] of the next coordinate.  `zero` marks a batch whose first
     node is the all-zero prefix: its range starts at 0, and its first
@@ -333,37 +462,49 @@ def _search(G, L, d, C, qmax, budget, cap):
     dtype = object if cap is None else np.int64
     G = np.array(G, dtype=dtype)
 
-    def ranges(j, S, rem, zero):
-        """[lo, hi] of x_j for each node, as `int(-c -+ r) -+ 1`."""
-        c = -S[:, j]
-        # a node with rem < 0 gets r = 0: each of its children has
-        # contrib >= 0 > rem and is rejected, as in the scalar recursion
+    def ranges(j, c, rem, zero):
+        """[lo, hi] of x_j for each node: ceil(c_j - w) and floor(c_j + w).
+
+        With u = 2^-53 and r = fl(sqrt(fl(max(rem, 0) / d_j))), a kept
+        v has fl(fl(d_j t) t) <= rem for t = fl(fl(v) - c_j), so rem >= 0
+        and, taking each rounding as a factor within 1 -+ u (the float
+        pruning assumes no underflow throughout), |v - c_j| <= r (1 + 4u)
+        + u |v| <= r (1 + 6u) + 2u |c_j|.  The half-width w = fl(r +
+        2^-48 a), a = fl(r + |c_j|), exceeds that bound by more than the
+        rounding of c_j -+ w, so ceil(fl(c_j - w)) <= v <= floor(fl(c_j
+        + w)).  Both ends lie within a (1 + 2^-46) of 0, so a < cap - 1
+        keeps every child inside the cap.
+        """
+        cj = c[:, j]
         r = np.sqrt(np.maximum(rem, 0.0) / d[j])
-        a = c - r
-        b = c + r
-        # inside (2 - cap, cap - 2), so int(.) -+ 1 stays below the cap
-        if cap is not None and (a.min() <= 2 - cap or b.max() >= cap - 2):
+        a = r + np.abs(cj)
+        if cap is not None and a.max() >= cap - 1:
             raise _OutsideCap
-        lo = _truncate(a, dtype) - 1
-        hi = _truncate(b, dtype) + 1
+        w = r + a * 2.0 ** -48
+        lo = _integers(np.ceil(cj - w), dtype)
+        hi = _integers(np.floor(cj + w), dtype)
         if zero:
             lo[0] = 0
         return lo, hi
 
-    S = np.zeros((1, n))
-    P = np.zeros(1)
-    rem = C - P
-    root = (S, np.zeros((1, n), dtype=dtype), np.zeros(1, dtype=dtype),
-            P, rem) + ranges(n - 1, S, rem, True)
+    # the root, with c = 0 and rem = C > 0: `ranges` in scalars
+    r = sqrt(C / d[n - 1])
+    if cap is not None and r >= cap - 1:
+        raise _OutsideCap
+    root = (np.zeros((1, n)), np.zeros((1, n), dtype=dtype),
+            np.zeros(1, dtype=dtype), np.zeros(1), np.full(1, C),
+            np.zeros(1, dtype=dtype),
+            np.array([floor(r + r * 2.0 ** -48)], dtype=dtype))
     stack = [(n - 1, True, root)]
     tally = {}
     nodes = 0
     while stack:
         j, zero, batch = stack.pop()
         size = _widths(*batch[-2:], dtype)
-        total = int(size.sum())
+        ends = np.cumsum(size)
+        total = int(ends[-1])
         if total > CHUNK:
-            k = int(np.searchsorted(np.cumsum(size), CHUNK, side="right"))
+            k = int(np.searchsorted(ends, CHUNK, side="right"))
             if k:
                 stack.append((j, False, tuple(a[k:] for a in batch)))
                 batch = tuple(a[:k] for a in batch)
@@ -375,15 +516,17 @@ def _search(G, L, d, C, qmax, budget, cap):
                               + (np.concatenate((cut, lo[1:])), hi)))
                 batch = tuple(a[:1] for a in batch[:-1]) + (cut - 1,)
             size = _widths(*batch[-2:], dtype)
-            total = int(size.sum())
-        S, B, Q, P, rem, lo, hi = batch
+            ends = np.cumsum(size)
+            total = int(ends[-1])
+        c, B, Q, P, rem, lo, hi = batch
         parent = np.repeat(np.arange(len(size)), size)
-        first, step = np.cumsum(size) - size, np.arange(total)
+        first, step = ends - size, np.arange(total)
         if dtype is object:
             first, step = first.astype(object), step.astype(object)
         v = (lo - first)[parent] + step
-        vf = v.astype(np.float64)
-        t = vf + S[:, j][parent]
+        # int64 v is cast to float exactly where it meets a float
+        vf = v.astype(np.float64) if dtype is object else v
+        t = vf - c[:, j][parent]
         contrib = d[j] * t * t
         keep = np.flatnonzero(contrib <= rem[parent])
         nodes += len(keep)
@@ -392,19 +535,20 @@ def _search(G, L, d, C, qmax, budget, cap):
                                 % budget)
         if not len(keep):
             continue
-        parent, v, vf = parent[keep], v[keep], vf[keep]
+        parent, v = parent[keep], v[keep]
         Qc = Q[parent] + v * (2 * B[:, j][parent] + G[j, j] * v)
         if j == 0:
             norms = Qc[1:] if zero else Qc
             _tally(tally, norms[norms <= qmax])
             continue
+        vf = v.astype(np.float64) if dtype is object else v
         Pc = P[parent] + contrib[keep]
-        Sc = S.take(parent, axis=0)[:, :j] + L[j, :j] * vf[:, None]
+        cc = c.take(parent, axis=0)[:, :j] - L[j, :j] * vf[:, None]
         Bc = B.take(parent, axis=0)[:, :j] + G[j, :j] * v[:, None]
         remc = C - Pc
-        stack.append((j - 1, zero, (Sc, Bc, Qc, Pc, remc)
-                      + ranges(j - 1, Sc, remc, zero)))
-    return tally
+        stack.append((j - 1, zero, (cc, Bc, Qc, Pc, remc)
+                      + ranges(j - 1, cc, remc, zero)))
+    return tally, nodes
 
 
 def _widths(lo, hi, dtype):

@@ -113,7 +113,9 @@ def _dual_gram(gram):
     """Gram of the dual lattice, G^-1, exactly, in the reversed basis order.
 
     In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
-    count of the dual side describes the search the enumerator makes.
+    count of the dual side is read from G's own diagonal.  That count is
+    a bound on the dual's vector counts; the enumerator searches the dual
+    in its LLL-reduced basis, whose tree it does not describe.
     """
     return GramMatrix([row[::-1] for row in reversed(_inverse(gram))])
 
@@ -126,7 +128,10 @@ class _Side:
     y^(-n/2) and a = pi/y.  With d the diagonal of the exact LDL^T of G,
     `c` holds the coefficients of the box count P(t) = prod_j (1 +
     b_j*sqrt(t)) = sum_k c_k t^(k/2), where b_j = 2/sqrt(d_j) for L and
-    2*sqrt(d_j) for L* (see `_dual_gram`).
+    2*sqrt(d_j) for L* (see `_dual_gram`).  P(t) bounds the number of
+    vectors of norm <= t in any basis order; it is the box of the given
+    order, so the cutoffs do not depend on the reduced basis that
+    `theta_coefficients` searches in, whose tree it does not describe.
     """
 
     def __init__(self, gram, dual):

@@ -1,10 +1,12 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 from itertools import product
 from math import floor, isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -284,8 +286,8 @@ def _half(gram):
 
 
 @pytest.mark.parametrize("name, max_norm, nodes", [
-    ("D4", 8, 131), ("E8", 4, 2742), ("ExampleDim8", 6, 1880),
-    ("K12", 4, 2860), ("D4/2", 4, 131)])
+    ("D4", 8, 131), ("E8", 4, 2712), ("ExampleDim8", 6, 1880),
+    ("K12", 4, 1692), ("D4/2", 4, 131)])
 def test_node_budget_thresholds(name, max_norm, nodes):
     base = name.split("/")[0]
     g = catalog(base).gram
@@ -368,12 +370,160 @@ def test_matches_brute_force(gram, max_norm):
 
 
 def test_search_reaching_cap_falls_back_to_python_ints(monkeypatch):
-    # Z^2 in the basis (1, 0), (K, 1), where x = (-6K, 6) has norm 36.
+    # Z^2 in the basis (1, 0), (K, 1), where x = (-6K, 6) has norm 36;
+    # the reduction searches it as Z^2, where x = (6, 0) has norm 36.
     # A cap of 3 admits int64, but the search ranges reach it, so the
     # search reruns with Python ints.
     K = 2 ** 29
     g = GramMatrix([[1, K], [K, K * K + 1]])
+    assert lattice._reduced(g)[1] == [[1, 0], [0, 1]]
     want = theta_coefficients(catalog("Z2").gram, 36)
     assert theta_coefficients(g, 36) == want
     monkeypatch.setattr(lattice, "_int64_cap", lambda G, qmax: 3)
     assert theta_coefficients(g, 36) == want
+
+
+@st.composite
+def _reordered(draw, gram):
+    """U G U^T for a signed permutation U with up to three +-1 shears,
+    the bases the benchmark's oracle workload draws."""
+    n = gram.n
+    U = [[0] * n for _ in range(n)]
+    for row, p in zip(U, draw(st.permutations(range(n)))):
+        row[p] = draw(st.sampled_from((1, -1)))
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        s = draw(st.sampled_from((1, -1)))
+        U[i] = [a + s * b for a, b in zip(U[i], U[j])]
+    G = gram.entries
+    return GramMatrix([[sum(U[i][k] * G[k][m] * U[j][m]
+                            for k in range(n) for m in range(n))
+                        for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_counts_do_not_depend_on_the_basis(data):
+    name = data.draw(st.sampled_from(("random", "D4", "E8", "ExampleDim8")))
+    if name == "random":
+        gram = data.draw(_small_grams())
+        max_norm = data.draw(st.builds(Fraction, st.integers(0, 12),
+                                       st.integers(1, 3)))
+        assume(prod(2 * b + 1 for b in _box(gram, max_norm)) <= 20000)
+    else:
+        gram = catalog(name).gram
+        max_norm = {"D4": 8, "E8": 4, "ExampleDim8": 4}[name]
+    other = data.draw(_reordered(gram))
+    assert theta_coefficients(other, max_norm) == \
+        theta_coefficients(gram, max_norm)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("Z3",))
+def test_reduced_basis_of_the_catalog(name):
+    """G'' is kept on the Gram, is a Gram of the same determinant, and
+    meets the reduction's conditions exactly, up to its float slack."""
+    g = catalog(name).gram
+    s, H, L, d = lattice._reduced(g)
+    assert lattice._reduced(g)[1] is H
+    h = GramMatrix([[Fraction(x, s) for x in row] for row in H])
+    assert h.determinant() == g.determinant()
+    Lq, dq = h.ldl
+    assert L.tolist() == [[float(x) for x in row] for row in Lq]
+    assert d == [float(x) for x in dq]
+    assert all(abs(Lq[i][k]) <= Fraction(str(lattice.LLL_ETA))
+               for i in range(g.n) for k in range(i))
+    delta = Fraction(str(lattice.LLL_DELTA))
+    assert all(dq[k] >= (delta - Lq[k][k - 1] ** 2) * dq[k - 1]
+               for k in range(1, g.n))
+
+
+def test_reduced_grams_keep_their_basis():
+    """A reduced Gram is searched as given, with its own factors."""
+    for name in ("A2", "C2", "C3", "Z3"):
+        for g in (catalog(name).gram, _dual_gram(catalog(name).gram)):
+            s, H, L, d = lattice._reduced(g)
+            assert H == [[x * s for x in row] for row in g.entries], name
+            assert d == [float(x) for x in g.ldl[1]]
+
+
+def _scalar_search(G, L, d, C, qmax):
+    """({norm: half-vector count}, nodes) of a scalar Fincke-Pohst
+    recursion with `_search`'s float test over the wider ranges
+    int(c -+ r) -+ 1."""
+    n = len(d)
+    tally, nodes = {}, 0
+
+    def expand(j, c, B, Q, P, zero):
+        nonlocal nodes
+        rem = C - P
+        r = math.sqrt(max(rem, 0.0) / d[j])
+        lo, hi = int(c[j] - r) - 1, int(c[j] + r) + 1
+        for v in range(0 if zero else lo, hi + 1):
+            t = v - c[j]
+            contrib = d[j] * t * t
+            if not contrib <= rem:
+                continue
+            nodes += 1
+            Qc = Q + v * (2 * B[j] + G[j][j] * v)
+            if j:
+                expand(j - 1, [c[i] - L[j][i] * v for i in range(j)],
+                       [B[i] + G[j][i] * v for i in range(j)], Qc,
+                       P + contrib, zero and v == 0)
+            elif Qc <= qmax and not (zero and v == 0):
+                tally[Qc] = tally.get(Qc, 0) + 1
+
+    expand(n - 1, [0.0] * n, [0] * n, 0, 0.0, True)
+    return tally, nodes
+
+
+@pytest.mark.parametrize("d0, ell, C", [
+    # the child x_0 = -16 (-4) lies below fl(c - r), x_0 = 8 (14) above
+    # fl(c + r), and the float test keeps it: contrib == rem
+    ("0x1.3f366dfdf4c56p+0", "0x1.7115542b9279ap-2", "0x1.31fe25c86c2d4p+8"),
+    ("0x1.8b1e158099466p+0", "0x1.63f3e15c2c60cp-1", "0x1.1db4dc92cff8ap+4"),
+    ("0x1.831b1a2934262p-1", "0x1.d139d14fa9f50p-2", "0x1.b8527049a6ffep+5"),
+    ("0x1.9072857145943p+0", "0x1.0bc0a7534fb04p-2", "0x1.3f26e0b68c5e4p+8"),
+])
+def test_tight_ranges_keep_children_at_the_rounding_edge(d0, ell, C):
+    # float factors chosen so that x_1 = 1 leaves rem = C - 1 at the
+    # centre c = -ell of x_0, where a kept child lies past the rounded
+    # roots c -+ r of the test: only the slack puts it in range
+    G = [[1, 0], [0, 1]]
+    L = np.array([[1.0, 0.0], [float.fromhex(ell), 1.0]])
+    d = [float.fromhex(d0), 1.0]
+    C = float.fromhex(C)
+    want = _scalar_search(G, L.tolist(), d, C, 10 ** 6)
+    assert lattice._search(G, L, d, C, 10 ** 6, 10 ** 6,
+                           lattice._int64_cap(G, 10 ** 6)) == want
+
+
+_EPS = Fraction(1, 2 ** 62)
+
+
+@pytest.mark.parametrize("entries", [
+    # half-integer centres
+    [[1, Fraction(1, 2)], [Fraction(1, 2), 1]],
+    [[2, 1], [1, 2]],
+    # centres a rounding away from integers
+    [[1, _EPS], [_EPS, 1]],
+    [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+    catalog("D4").gram.entries,
+    catalog("C3").gram.entries,
+])
+def test_tight_ranges_keep_the_nodes_of_the_scalar_search(entries):
+    # at cutoffs equal to the norms (and half-norms), exact float sums
+    # make a child's contrib equal its budget rem
+    gram = GramMatrix(entries)
+    s, G = lattice._scale_to_integers(gram.entries)
+    given = ([[float(x) for x in row] for row in gram.ldl[0]],
+             [float(x) for x in gram.ldl[1]])
+    bases = [(G,) + given, lattice._reduced(gram)[1:]]
+    for G, L, d in bases:
+        L = np.array(L)
+        for C in [k / 2 for k in range(1, 17)] + [6 + 7e-9]:
+            qmax = floor(C * s)
+            want = _scalar_search(G, L.tolist(), d, C, qmax)
+            for cap in (lattice._int64_cap(G, qmax), None):
+                assert lattice._search(G, L, d, C, qmax, 10 ** 6, cap) \
+                    == want, (C, cap)
