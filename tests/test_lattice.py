@@ -199,6 +199,18 @@ def test_unimodular_invariance():
         assert theta_coefficients(g, 6) == ref
 
 
+def test_ill_conditioned_basis_counts_exactly():
+    # a shear of 2^40 leaves float centres too coarse for the guard band
+    # in the given basis; the reduced basis is well conditioned (the
+    # search in the given basis found 2 of the 4 vectors of norm 12)
+    G = [[8, 3, 4], [3, 10, 1], [4, 1, 4]]
+    U = [[1, 0, 0], [0, 1, 0], [7, 2 ** 40 + 4088, 1]]
+    H = [[sum(U[i][k] * G[k][m] * U[j][m] for k in range(3) for m in range(3))
+          for j in range(3)] for i in range(3)]
+    assert theta_coefficients(GramMatrix(H), 12) == \
+        theta_coefficients(GramMatrix(G), 12)
+
+
 def test_budget_enforced():
     g = catalog("Z12").gram
     with pytest.raises(BoundTooLarge):
