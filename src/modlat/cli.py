@@ -84,7 +84,9 @@ def cmd_expand(args):
         if isinstance(src, modform.ThetaDecomposition):
             s = modform.expand_decomposition(src, order)
         else:
-            pairs = lattice.theta_coefficients(src, order - 1, args.budget)
+            # every norm below the order; catalog Grams are integral
+            pairs = lattice.theta_coefficients(src, math.ceil(order) - 1,
+                                               args.budget)
             s = QSeries.from_terms(pairs, order)
     _emit(args, [str(s)], s.to_json_dict())
     return 0
@@ -222,6 +224,14 @@ def cmd_catalog(args):
 
 
 def build_parser():
+    """A new parser for the `modlat` command line.
+
+    Each call builds a fresh tree and keeps no state of its own; `main`
+    builds one per process and reuses it.  The --eps and --budget
+    defaults are read from `secrecy._EPS_DEFAULT` and
+    `lattice.DEFAULT_BUDGET` when the parser is built, so `main` reads
+    them once, at its first call; nothing patches them.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty")
@@ -275,7 +285,19 @@ def build_parser():
     return p
 
 
+#: The parser `main` reuses, built at its first call.
+_parser = None
+
+
 def main(argv=None):
+    """Run one command; returns its exit code.
+
+    May be called any number of times in one process: the parser is
+    built at the first call (see `build_parser`) and reused, and each
+    call reads argv, writes its output and keeps nothing.  An argparse
+    error raises SystemExit(2), as from the command line.
+    """
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
     # glue "--range -6:3" into one token so argparse does not read the
     # negative bound as a flag
@@ -284,7 +306,9 @@ def main(argv=None):
         if argv[i] == "--range" and argv[i + 1].startswith("-"):
             argv[i:i + 2] = ["--range=" + argv[i + 1]]
         i += 1
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ModlatError, ValueError, OSError) as exc:

@@ -17,6 +17,11 @@ during it, keeps them below 2^62, and Python ints otherwise, so counts
 are exact for every Gram.  A node budget counts the nodes kept by the
 search in the reduced basis.
 
+numpy is imported by the functions that use it, `_reduced` and `_search`
+with its helpers, not at the top of the module: it loads at the first
+enumeration, so `import modlat` and the paths that never enumerate
+(table rows, named forms, codes) do without it.
+
 Every exact linear solve in the package is `_bareiss`, one fraction-free
 elimination on a matrix scaled to integers: a Gram's positive-definiteness
 check and LDL^T factors, those of its reduced basis, its inverse (the
@@ -30,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt, lcm, sqrt
 from operator import mul
-
-import numpy as np
 
 from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
                      SingularSystem, UnknownLattice)
@@ -323,6 +326,8 @@ def _reduced(gram):
     (U = I) reuses its own factors.
     """
     if gram._reduced is None:
+        import numpy as np
+
         s, G = _scale_to_integers(gram.entries)
         H = _lll(G) if gram.n > 1 else None
         if H is None:
@@ -432,6 +437,8 @@ def _int64_cap(G, qmax):
 
 def _integers(a, dtype):
     """Integer-valued floats as int64 or Python ints."""
+    import numpy as np
+
     if dtype is object:
         return np.array([int(x) for x in a.tolist()], dtype=object)
     return a.astype(np.int64)
@@ -458,6 +465,8 @@ def _search(G, L, d, C, qmax, budget, cap):
     node is the all-zero prefix: its range starts at 0, and its first
     child (x_j = 0, always kept) is again the all-zero prefix.
     """
+    import numpy as np
+
     n = len(d)
     dtype = object if cap is None else np.int64
     G = np.array(G, dtype=dtype)
@@ -557,6 +566,8 @@ def _widths(lo, hi, dtype):
     Python-int widths are capped at CHUNK + 1 first; the cap changes no
     split of a batch.
     """
+    import numpy as np
+
     if dtype is object:
         return np.minimum(hi - lo + 1, CHUNK + 1).astype(np.int64)
     return hi - lo + 1
@@ -568,6 +579,8 @@ def _tally(tally, norms):
     The same as np.unique(norms, return_counts=True), at half its
     overhead on the few leaves of a low-norm call.
     """
+    import numpy as np
+
     if len(norms):
         norms = np.sort(norms)
         last = np.flatnonzero(norms[1:] != norms[:-1])

@@ -209,3 +209,77 @@ def test_curve_below_symmetry_point_from_a_gram():
     assert [p["y_dB"] for p in gram] == [p["y_dB"] for p in closed]
     for p, q in zip(gram, closed):
         assert p["xi"] == pytest.approx(q["xi"], rel=1e-9, abs=0)
+
+
+def test_expand_a_catalog_gram_at_a_fractional_order(run):
+    # every norm below the order is counted, as for the table row
+    for order in ("5/2", "7/2"):
+        assert run("expand", "ExampleDim8", "--order", order) == \
+            run("expand", "dim8", "--order", order)
+    assert run("expand", "ExampleDim8", "--order", "5/2") == \
+        (0, "1 + 32q^2\n")
+    assert run("expand", "C2", "--order", "7/2") == \
+        run("expand", "C2", "--order", "4") == (0, "1 + 2q + 2q^2 + 4q^3\n")
+
+
+def test_main_can_be_called_again_and_again(capsys, tmp_path):
+    target = tmp_path / "series.json"
+    argvs = [
+        ["curve", "BW16", "--range", "-6:3", "--samples", "5"],
+        ["curve", "A2", "--range", "-3:-1", "--samples", "3",
+         "--format", "json"],
+        ["gain", "dim24", "--format", "json"],
+        ["decompose", "dim8", "--format", "csv"],
+        ["expand", "Theta_A2", "--order", "8", "--format", "json",
+         "--out", str(target)],
+        ["expand", "C2", "--order", "5/2"],
+        ["gain", "NoSuchLattice"],
+        ["tables", "--which", "3"],
+        ["gain", "E8", "--ell", "2"],
+        ["tables"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # an argparse error
+            code = exc.code
+        captured = capsys.readouterr()
+        written = target.read_text() if "--out" in argv else None
+        return code, captured.out, captured.err, written
+
+    first = [call(argv) for argv in argvs]
+    parser = modlat.cli._parser
+    again = [call(argv) for argv in reversed(argvs)][::-1]
+    assert again == first
+    assert [r[0] for r in first] == [0, 0, 0, 0, 0, 0, 2, 1, 2, 2]
+    assert first[4][1] == "" and json.loads(first[4][3])["terms"][0] == \
+        [0, "1"]
+    assert modlat.cli._parser is parser
+    args = parser.parse_args(["gain", "E8"])
+    assert args.eps == modlat.secrecy._EPS_DEFAULT
+    assert args.budget == modlat.lattice.DEFAULT_BUDGET
+
+
+def test_commands_that_never_enumerate_leave_numpy_unloaded():
+    # numpy is imported at the first enumeration, not with the package
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(modlat.__file__)))
+    script = """if True:
+        import contextlib, io, json, sys
+        import modlat, modlat.cli
+        codes = []
+        for argv in ("gain dim24", "curve BW16 --samples 3",
+                     "decompose dim8", "expand Theta_E8 --order 16",
+                     "tables --which 3", "code PSole_dim8 lwe"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(modlat.cli.main(argv.split()))
+        before = "numpy" in sys.modules
+        modlat.theta_coefficients(modlat.catalog("D4").gram, 4)
+        print(json.dumps([codes, before, "numpy" in sys.modules]))
+    """
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 1, 0], False, True]
