@@ -92,24 +92,17 @@ def cmd_expand(args):
     return 0
 
 
-def _oracle_depth(basis):
-    """Norm to enumerate to so the counts fix every basis coefficient."""
-    terms = len(basis.terms)
-    return max(8, 2 * terms if basis.kind == "even" else terms)
-
-
 def cmd_decompose(args):
     src, ell, n = _lattice(args.name, args.gram)
     if isinstance(src, modform.ThetaDecomposition):
         basis = modform.build_basis(ell, n, args.kind or src.basis.kind)
         ref = modform.expand_decomposition(src)
-        known = [(e, ref.coeff_at(e)) for e in range(9)]
+        d = modform.solve_coefficients(
+            basis, [(e, ref.coeff_at(e)) for e in range(9)])
     else:
         kind = args.kind or ("even" if src.is_even() else "general")
-        basis = modform.build_basis(ell, n, kind)
-        known = lattice.theta_coefficients(src, _oracle_depth(basis),
-                                           args.budget)
-    d = modform.solve_coefficients(basis, known)
+        d = modform.gram_decomposition(
+            src, modform.build_basis(ell, n, kind), args.budget)
     _emit(args, [d.pretty()], d.to_json_dict())
     return 0
 
@@ -168,13 +161,11 @@ def cmd_tables(args):
     failed = 0
     if args.which in (1, 2):
         table = fixtures.TABLE1 if args.which == 1 else fixtures.TABLE2
-        structural = {name: (ok, problems) for name, ok, problems
-                      in modform.verify_table(args.which)}
+        structural = dict(r[:2] for r in modform.verify_table(args.which))
         for row in table:
             d = modform.decomposition_from_fixture(row)
             chi = secrecy.weak_secrecy_gain(d, row.ell, eps=args.eps)
-            ok_struct, problems = structural[row.name]
-            ok = ok_struct and abs(chi - row.chi_w) < tol
+            ok = structural[row.name] and abs(chi - row.chi_w) < tol
             failed += not ok
             rows.append({"dim": row.dim, "lattice": row.name, "ell": row.ell,
                          "theta_series": d.pretty(), "chi_w_ref": row.chi_w,

@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt, lcm, sqrt
-from operator import mul
+from operator import mul, truediv
 
 from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
                      SingularSystem, UnknownLattice)
@@ -67,15 +67,9 @@ class GramMatrix:
         # Sylvester: the pivots U_kk are the leading principal minors of sG
         if exchanged or any(u[k] <= 0 for k, u in enumerate(U)):
             raise ValueError("Gram matrix is not positive definite")
-        # G = L diag(d) L^T, L_ik = U_ki / U_kk, d_k = U_kk / (s U_(k-1)(k-1))
-        minors = [1] + [u[k] for k, u in enumerate(U)]
-        L = tuple(tuple(Fraction(U[k][i], minors[k + 1]) if k < i
-                        else Fraction(int(k == i)) for k in range(n))
-                  for i in range(n))
-        d = tuple(Fraction(minors[k + 1], s * minors[k]) for k in range(n))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ldl", (L, d))
+        object.__setattr__(self, "ldl", _ldl(U, s, Fraction))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_reduced", None)
 
@@ -176,6 +170,17 @@ def _bareiss(rows):
         pivots.append(pivot)
         prev = pivot[k]
     return pivots, exchanged
+
+
+def _ldl(U, s, div):
+    """G = L diag(d) L^T from the unexchanged `_bareiss` pivot rows U of
+    s*G: L_ik = div(U_ki, U_kk) and d_k = div(U_kk, s U_(k-1)(k-1))."""
+    n = len(U)
+    minors = [1] + [u[k] for k, u in enumerate(U)]
+    L = tuple(tuple(div(U[k][i], minors[k + 1]) if k < i
+                    else div(int(k == i), 1) for k in range(n))
+              for i in range(n))
+    return L, tuple(div(minors[k + 1], s * minors[k]) for k in range(n))
 
 
 def _inverse(gram):
@@ -331,20 +336,14 @@ def _reduced(gram):
         s, G = _scale_to_integers(gram.entries)
         H = _lll(G) if gram.n > 1 else None
         if H is None:
-            Lq, dq = gram.ldl
-            L = [[float(x) for x in row] for row in Lq]
-            d = [float(x) for x in dq]
+            L, d = gram.ldl
         else:
-            # the factors as the constructor forms them, with each
-            # quotient of integers rounded once (as float(Fraction) is);
-            # G'' is positive definite, so no row is exchanged
-            G, n = H, len(H)
-            U = _bareiss([row[:] for row in G])[0]
-            minors = [1] + [u[k] for k, u in enumerate(U)]
-            L = [[U[k][i] / minors[k + 1] if k < i else float(k == i)
-                  for k in range(n)] for i in range(n)]
-            d = [minors[k + 1] / (s * minors[k]) for k in range(n)]
-        object.__setattr__(gram, "_reduced", (s, G, np.array(L), d))
+            # each quotient of integers rounded once, as float(Fraction)
+            # is; G'' is positive definite, so no row is exchanged
+            G = H
+            L, d = _ldl(_bareiss([row[:] for row in G])[0], s, truediv)
+        object.__setattr__(gram, "_reduced", (s, G, np.array(L, dtype=float),
+                                              [float(x) for x in d]))
     return gram._reduced
 
 

@@ -26,7 +26,7 @@ from operator import mul
 from . import theta
 from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
-from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse,
+from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse, catalog,
                       theta_coefficients)
 from .qseries import DEFAULT_ORDER, SeriesMatrix
 
@@ -43,6 +43,9 @@ _GENERATORS = {
 #: Divisor ord_1(f1) per level: sum of divisors of ell over 8 (odd ell)
 #: or over 6 (even ell).  Only level 2 is populated for the general shape.
 _ORD1 = {2: Fraction(1, 2)}
+
+#: Default surplus depth of `solve_coefficients`: a spot check, no proof.
+_SPOT_CHECK = 8
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ def _matching_inverse(basis):
     return rows[0][0], tuple(tuple(row[t:]) for row in rows), matrix.scales
 
 
-def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
+def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
     """Recover decomposition coefficients from leading theta coefficients.
 
     `known` is a list of (norm, count) pairs.  The first len(terms)
@@ -214,6 +217,20 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=8):
                     "supplied; wrong level, parity or basis shape for this "
                     "lattice" % (expansion.coeff_at(e), e, c))
     return d
+
+
+def gram_decomposition(gram, basis: BasisSpec, budget=DEFAULT_BUDGET):
+    """Theta of a Gram over `basis`, solved from its vector counts up to
+    the last matching exponent or the check depth, whichever is larger:
+    the Sturm depth, a proof (`certified_decomposition`), if `basis` is
+    even and of the level the Gram's gate gives, else `_SPOT_CHECK`."""
+    n, ell = gram.n, basis.ell
+    check = _SPOT_CHECK
+    if basis.kind == "even" and _gate_level(gram) == ell:
+        check = 2 * (n // 24 if ell == 1 else n * (ell + 1) // 24)
+    depth = max(_matching_exponents(basis, len(basis.terms))[-1], check)
+    return solve_coefficients(
+        basis, theta_coefficients(gram, depth, budget), depth)
 
 
 def certified_decomposition(gram, budget=DEFAULT_BUDGET):
@@ -256,9 +273,7 @@ def certified_decomposition(gram, budget=DEFAULT_BUDGET):
     agree up to norm 2*floor(n*(ell+1)/24) (ell = 2, 3) or 2*floor(n/24)
     (ell = 1): norm 4 for K12 and BW16, norm 0 for E8, D4 and A2.
 
-    The counts are enumerated to max(2(t-1), that depth), t the number of
-    basis terms.  `solve_coefficients` fixes the coefficients from the
-    counts at norms 0, 2, ..., 2(t-1) and checks every count up to the
+    `gram_decomposition` checks every count up to that
     depth, so Theta_L minus the decomposition vanishes to the Sturm
     depth and is zero.  An InconsistentSurplus means Theta_L lies outside
     the span of the monomials (the span can be smaller than the space:
@@ -276,17 +291,14 @@ def _certificate(gram, budget):
     ell = _gate_level(gram)
     if ell is None:
         return None
-    n = gram.n
-    basis = build_basis(ell, n, "even")
-    sturm = 2 * (n // 24 if ell == 1 else n * (ell + 1) // 24)
-    depth = max(2 * (len(basis.terms) - 1), sturm)
     try:
-        return solve_coefficients(
-            basis, theta_coefficients(gram, depth, budget), depth)
+        return gram_decomposition(gram, build_basis(ell, gram.n, "even"),
+                                  budget)
     except (InconsistentSurplus, BoundTooLarge):
         return None
 
 
+@lru_cache(maxsize=256)
 def _gate_level(gram):
     """ell if the Gram is even of level ell in {1, 2, 3} and det ell^(n/2)."""
     n = gram.n
@@ -312,11 +324,10 @@ def verify_table(which):
 
     For each row, up to q^9: constant term 1, non-negative integer
     coefficients, parity (even rows have no odd-exponent terms), and
-    agreement with the enumeration oracle to norm 8 where a catalog Gram
-    is shipped.  Returns a list of (row name, ok, list of failure
-    messages).
+    agreement with `gram_decomposition` where a catalog Gram is shipped.
+    Returns a list of (row name, ok, list of failure messages).
     """
-    from . import fixtures, lattice
+    from . import fixtures
 
     table = {1: fixtures.TABLE1, 2: fixtures.TABLE2}[which]
     report = []
@@ -332,10 +343,12 @@ def verify_table(which):
             if row.kind == "even" and e.numerator % 2:
                 problems.append("odd-exponent term q^%s in even lattice" % e)
         if row.catalog_name:
-            entry = lattice.catalog(row.catalog_name)
-            for m, cnt in lattice.theta_coefficients(entry.gram, 8):
-                if m < s.trunc and s.coeff_at(m) != cnt:
-                    problems.append("oracle A_%s = %d but expansion has %s"
-                                    % (m, cnt, s.coeff_at(m)))
+            try:
+                found = gram_decomposition(catalog(row.catalog_name).gram,
+                                           d.basis)
+                if found != d:
+                    problems.append("catalog Gram gives %s" % found.pretty())
+            except InconsistentSurplus as exc:
+                problems.append("catalog Gram: %s" % exc)
         report.append((row.name, not problems, problems))
     return report

@@ -76,7 +76,9 @@ def eval_decomposition_numeric(d: ThetaDecomposition, y):
     """Theta at i*y from a decomposition over its basis generators.
 
     `bound_on_tail` is n * 1e-16 * |value|, an estimate of the rounding
-    error, not a proven bound.
+    error, not a proven bound, and it is exceeded: against 50-digit mpmath
+    at the symmetry point, by up to 3.9x on Table 1/2 rows (L24.2; HS20
+    3.5x, BW16 3.1x), and by 4.2x (L24.2) at the float y itself.
     """
     g1, g2 = d.basis.generators
     v1 = form_numeric(g1, y)
@@ -299,7 +301,10 @@ class _GramTheta:
             for y in ys:
                 i, cut = self.plan(y)
                 need[i] = max(need[i], cut[i])
-        return self._enumerate(need)
+        for side, R in zip(self.sides, need):
+            if R > side.depth:
+                side.enumerate(R, self.budget)
+        return self
 
     def prepare_span(self, lo_db, hi_db):
         """Prepare every y = 10^(y_dB/10) with lo_db <= y_dB <= hi_db.
@@ -335,16 +340,7 @@ class _GramTheta:
                 u, cu = m, cm
             else:
                 v, cv = m, cm
-        need = [-1, -1]
-        need[su] = cu[su]
-        need[sv] = max(need[sv], cv[sv])
-        return self._enumerate(need)
-
-    def _enumerate(self, need):
-        for side, R in zip(self.sides, need):
-            if R > side.depth:
-                side.enumerate(R, self.budget)
-        return self
+        return self.prepare([10.0 ** (u / 10.0), 10.0 ** (v / 10.0)])
 
     def value(self, y):
         if self.cubic:

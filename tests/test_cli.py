@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import modlat
+from modlat import modform
 from modlat.cli import main
+from modlat.lattice import theta_coefficients
 
 
 @pytest.fixture
@@ -49,6 +51,28 @@ def test_decompose_reads_the_shape_from_the_lattice(run, tmp_path):
     assert run("decompose", "ExampleDim8") == \
         (0, "f1^4 - 8*f1^2*Delta_4\n")
     assert run("decompose", "C2") == (0, "f1\n")
+
+
+@pytest.mark.parametrize("sheared", [False, True])
+def test_decompose_a_gram_file_is_proven_at_the_sturm_depth(
+        run, tmp_path, monkeypatch, sheared):
+    # BW16, and the same lattice in the basis U = I plus the
+    # superdiagonal that the installed-package smoke run builds
+    G = modlat.catalog("BW16").gram.entries
+    n = len(G)
+    U = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    if sheared:
+        G = [[sum(U[i][k] * G[k][m] * U[j][m]
+                  for k in range(n) for m in range(n)) for j in range(n)]
+             for i in range(n)]
+    text = tmp_path / "bw16.txt"
+    text.write_text(modlat.GramMatrix(G).to_text())
+    depths = []
+    monkeypatch.setattr(modform, "theta_coefficients",
+                        lambda gram, depth, budget: depths.append(depth)
+                        or theta_coefficients(gram, depth, budget))
+    assert run("decompose", "--gram", str(text)) == run("decompose", "BW16")
+    assert depths == [4]
 
 
 def test_code_golden(run):

@@ -6,7 +6,8 @@ import pytest
 from modlat.errors import (EmptyBasis, InconsistentSurplus, SingularSystem,
                            UnsupportedLevel)
 from modlat import fixtures, modform
-from modlat.lattice import GramMatrix, catalog, theta_coefficients
+from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog,
+                            theta_coefficients)
 from modlat.modform import (BasisSpec, ThetaDecomposition, build_basis,
                             certified_decomposition,
                             decomposition_from_fixture, expand_decomposition,
@@ -118,6 +119,38 @@ def test_verify_table_rows():
     for which in (1, 2):
         for name, ok, problems in verify_table(which):
             assert ok, "%s: %s" % (name, problems)
+
+
+def test_verify_table_enumerates_to_one_depth_rule(monkeypatch):
+    # the Sturm depth where the gate proves the catalog Gram, the norm-8
+    # spot check for ExampleDim8, which is odd
+    names = {catalog(name).gram: name for name in CATALOG_NAMES}
+    depths = []
+
+    def recorder(gram, max_norm, budget):
+        depths.append((names[gram], max_norm))
+        return theta_coefficients(gram, max_norm, budget)
+
+    monkeypatch.setattr(modform, "theta_coefficients", recorder)
+    assert all(ok for _, ok, _ in verify_table(1))
+    assert depths == [("A2", 0), ("D4", 0), ("K12", 4), ("BW16", 4)]
+    del depths[:]
+    assert all(ok for _, ok, _ in verify_table(2))
+    assert depths == [("ExampleDim8", 8)]
+
+
+def test_verify_table_lists_a_contradicting_count(monkeypatch):
+    bw16 = catalog("BW16").gram
+
+    def altered(gram, max_norm, budget):
+        return [(m, c + (gram == bw16 and m == 4))
+                for m, c in theta_coefficients(gram, max_norm, budget)]
+
+    monkeypatch.setattr(modform, "theta_coefficients", altered)
+    report = verify_table(1)
+    assert [name for name, ok, _ in report if not ok] == ["BW16"]
+    (problem,) = dict((name, p) for name, _, p in report)["BW16"]
+    assert "at q^4" in problem
 
 
 def test_even_fixture_expansions_are_even():

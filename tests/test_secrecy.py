@@ -419,3 +419,21 @@ def test_table_gains_against_mpmath():
             if row.published_chi_w is not None:
                 bound = _largest_lattice_gain(mpmath, row, values, ref)
                 assert row.published_chi_w - 5e-6 > bound, (row.name, bound)
+
+
+def test_decomposition_error_within_four_estimates():
+    """The n*1e-16*|value| of eval_decomposition_numeric is an estimate,
+    not a bound: at the symmetry point the float value of each Table 1/2
+    polynomial errs by up to 3.9 times it (L24.2), and by no more than 4
+    times."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for row in fixtures.TABLE1 + fixtures.TABLE2:
+            q = mpmath.exp(-mpmath.pi / mpmath.sqrt(row.ell))
+            values = _row_terms(row, _forms(
+                lambda k, s: mpmath.jtheta(k, 0, q ** s),
+                lambda e: q ** e, lambda s: mpmath.qp(q ** s)))
+            exact = mpmath.fsum(c * v for c, v in zip(row.coeffs, values))
+            tv = secrecy.eval_decomposition_numeric(
+                decomposition_from_fixture(row), 1.0 / math.sqrt(row.ell))
+            assert abs(tv.value - exact) <= 4 * tv.bound_on_tail, row.name
