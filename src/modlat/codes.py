@@ -9,12 +9,11 @@ weight enumerator evaluated at four coset theta series.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import mul
+from operator import getitem, mul
 
 from . import theta
 from .errors import EnumerationTooLarge
@@ -94,11 +93,22 @@ class RingElem:
 
 ALL_ELEMS = tuple(RingElem(a, b) for a in range(3) for b in range(3))
 
+# The enumeration loops work on the index of an element in ALL_ELEMS,
+# 3a + b; these tables are read off RingElem's own arithmetic.
+_INDEX = {x: i for i, x in enumerate(ALL_ELEMS)}
+_ADD = tuple(tuple(_INDEX[x + y] for y in ALL_ELEMS) for x in ALL_ELEMS)
+_MUL = tuple(tuple(_INDEX[x * y] for y in ALL_ELEMS) for x in ALL_ELEMS)
+_LENGTH = tuple(x.length() for x in ALL_ELEMS)
+
 
 @dataclass(frozen=True)
 class CodeOverR:
-    """Linear code over R given by generator rows."""
+    """Linear code over R given by generator rows of equal length."""
     rows: tuple[tuple[RingElem, ...], ...]
+
+    def __post_init__(self):
+        if len({len(row) for row in self.rows}) > 1:
+            raise ValueError("generator rows must have equal length")
 
     @property
     def length(self):
@@ -120,32 +130,45 @@ class CodeOverR:
         return cls(tuple(rows))
 
 
-def enumerate_codewords(code: CodeOverR, budget=10 ** 7):
-    """All R-linear combinations of the generator rows, deduplicated."""
+def _words(code: CodeOverR, budget):
+    """The codewords as tuples of indices into ALL_ELEMS.
+
+    The span is closed one generator row at a time: each word so far is
+    added to each distinct nonzero multiple s*row, so dependent rows
+    merge as they go.  The budget bounds the 9^m combinations of the
+    m rows, as for a product over all scalars.
+    """
     m = len(code.rows)
     if 9 ** m > budget:
         raise EnumerationTooLarge("9^%d codeword combinations exceed budget"
                                   % m)
-    k = code.length
-    zero = RingElem(0, 0)
-    words = set()
-    for scalars in itertools.product(ALL_ELEMS, repeat=m):
-        w = [zero] * k
-        for s, row in zip(scalars, code.rows):
-            if s.is_zero():
-                continue
-            w = [wi + s * ri for wi, ri in zip(w, row)]
-        words.add(tuple(w))
+    zero = (0,) * code.length
+    words = {zero}
+    for row in code.rows:
+        row = [_INDEX[x] for x in row]
+        multiples = {tuple(_MUL[s][x] for x in row) for s in range(1, 9)}
+        multiples.discard(zero)
+        new = set(words)
+        for u in multiples:
+            adders = [_ADD[x] for x in u]
+            new.update(tuple(map(getitem, adders, w)) for w in words)
+        words = new
     return words
+
+
+def enumerate_codewords(code: CodeOverR, budget=10 ** 7):
+    """All R-linear combinations of the generator rows, deduplicated."""
+    return {tuple(map(ALL_ELEMS.__getitem__, w))
+            for w in _words(code, budget)}
 
 
 def length_weight_enumerator(code: CodeOverR, budget=10 ** 7):
     """Map from length composition (n0, n1, n2, n3) to multiplicity."""
     out: dict[tuple[int, int, int, int], int] = {}
-    for w in enumerate_codewords(code, budget):
+    for w in _words(code, budget):
         comp = [0, 0, 0, 0]
         for x in w:
-            comp[x.length()] += 1
+            comp[_LENGTH[x]] += 1
         key = tuple(comp)
         out[key] = out.get(key, 0) + 1
     return out
@@ -182,7 +205,7 @@ def check_hermitian_self_dual(code: CodeOverR, budget=10 ** 7):
             if not s.is_zero():
                 return False, ("rows %d and %d have Hermitian inner product %s"
                                % (i, j, s))
-    size = len(enumerate_codewords(code, budget))
+    size = len(_words(code, budget))
     if size * size != 9 ** code.length:
         return False, ("|C|^2 = %d != 9^%d" % (size * size, code.length))
     return True, "self-dual: %d codewords, all generator pairs orthogonal" % size

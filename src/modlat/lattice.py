@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, isqrt, lcm, sqrt
 from operator import mul, truediv
 
@@ -667,11 +668,24 @@ EXAMPLE_DIM8 = [[2, 1, 0, -1, 0, 2, -1, -2],
 
 
 def catalog(name):
-    """Named lattice lookup: a name in CATALOG_NAMES, or Z<n>, e.g. "Z16"."""
-    from . import fixtures
+    """Named lattice lookup: a name in CATALOG_NAMES, or Z<n>, e.g. "Z16".
 
+    A name in CATALOG_NAMES gives the same entry at every call, built at
+    the first, so the reduced basis kept on its Gram is formed once per
+    process; Z<n> is built at each call.
+    """
     if name.startswith("Z") and name[1:].isdigit() and int(name[1:]) >= 1:
         return _entry(name, _zn(int(name[1:])), "derived")
+    if name not in CATALOG_NAMES:
+        raise UnknownLattice("unknown lattice %r" % name)
+    return _named(name)
+
+
+@lru_cache(maxsize=None)
+def _named(name):
+    """The entry of a name in CATALOG_NAMES; called with no other."""
+    from . import fixtures
+
     table = {
         "A2": (_A2, "derived"),
         "D4": (_D4, "derived"),
@@ -683,8 +697,6 @@ def catalog(name):
         "BW16": (fixtures.BW16_GRAM, "derived"),
         "ExampleDim8": (EXAMPLE_DIM8, "paper"),
     }
-    if name not in table:
-        raise UnknownLattice("unknown lattice %r" % name)
     return _entry(name, *table[name])
 
 

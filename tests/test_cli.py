@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import modlat
-from modlat import modform
+from modlat import lattice, modform
 from modlat.cli import main
 from modlat.lattice import theta_coefficients
 
@@ -202,6 +202,30 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("action", ["lwe", "selfdual", "theta"])
+def test_code_with_ragged_rows_exits_2(capsys, tmp_path, action):
+    path = tmp_path / "ragged.txt"
+    path.write_text("1 0 v\n0 1\n")
+    assert main(["code", str(path), action]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator rows must have equal length\n"
+
+
+def test_tables_reduce_each_catalog_gram_once(capsys, monkeypatch):
+    # the catalog entry, and the reduced basis kept on its Gram, outlive
+    # the call
+    lattice._named.cache_clear()
+    reduced = []
+    lll = lattice._lll
+    monkeypatch.setattr(lattice, "_lll",
+                        lambda G: reduced.append(G) or lll(G))
+    for _ in range(2):
+        assert main(["tables", "--which", "2"]) == 0
+    capsys.readouterr()
+    assert reduced.count(lattice.EXAMPLE_DIM8) == 1
 
 
 def test_curve_far_above_symmetry_point_terminates():

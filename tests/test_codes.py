@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlat import fixtures
 from modlat.codes import (ALL_ELEMS, CodeOverR, RingElem,
@@ -68,6 +70,99 @@ def test_enumerate_edge_cases():
     assert len(enumerate_codewords(full)) == 9
     with pytest.raises(EnumerationTooLarge):
         enumerate_codewords(fixture_code(), budget=10)
+
+
+def _reference_words(code):
+    """Every combination of the rows by a product over all scalars, in
+    RingElem arithmetic."""
+    zero = RingElem(0, 0)
+    words = set()
+    for scalars in itertools.product(ALL_ELEMS, repeat=len(code.rows)):
+        w = [zero] * code.length
+        for s, row in zip(scalars, code.rows):
+            w = [wi + s * ri for wi, ri in zip(w, row)]
+        words.add(tuple(w))
+    return words
+
+
+def _reference_lwe(code):
+    out = {}
+    for w in _reference_words(code):
+        comp = [0, 0, 0, 0]
+        for x in w:
+            comp[x.length()] += 1
+        out[tuple(comp)] = out.get(tuple(comp), 0) + 1
+    return out
+
+
+def _reference_self_dual(code):
+    for i, ri in enumerate(code.rows):
+        for j, rj in enumerate(code.rows):
+            s = RingElem(0, 0)
+            for x, y in zip(ri, rj):
+                s = s + x * y.conj()
+            if not s.is_zero():
+                return False, ("rows %d and %d have Hermitian inner product %s"
+                               % (i, j, s))
+    size = len(_reference_words(code))
+    if size * size != 9 ** code.length:
+        return False, ("|C|^2 = %d != 9^%d" % (size * size, code.length))
+    return True, "self-dual: %d codewords, all generator pairs orthogonal" % size
+
+
+@st.composite
+def _codes(draw):
+    """0-3 rows of length 0-5; a row may combine the rows before it."""
+    k = draw(st.integers(0, 5))
+    elems = st.sampled_from(ALL_ELEMS)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            row = [RingElem(0, 0)] * k
+            for r in rows:
+                s = draw(elems)
+                row = [x + s * y for x, y in zip(row, r)]
+        else:
+            row = draw(st.lists(elems, min_size=k, max_size=k))
+        rows.append(tuple(row))
+    return CodeOverR(tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_codes())
+def test_index_kernel_matches_ring_arithmetic(code):
+    assert enumerate_codewords(code) == _reference_words(code)
+    assert length_weight_enumerator(code) == _reference_lwe(code)
+    assert check_hermitian_self_dual(code) == _reference_self_dual(code)
+
+
+def test_budget_bounds_the_row_combinations():
+    code = fixture_code()
+    m = len(code.rows)
+    assert len(enumerate_codewords(code, budget=9 ** m)) == 81
+    assert sum(length_weight_enumerator(code, budget=9 ** m).values()) == 81
+    for f in (enumerate_codewords, length_weight_enumerator,
+              check_hermitian_self_dual):
+        with pytest.raises(EnumerationTooLarge):
+            f(code, budget=9 ** m - 1)
+
+
+def test_enumeration_builds_no_ring_elements(monkeypatch):
+    code = fixture_code()
+    built = []
+    monkeypatch.setattr(RingElem, "__post_init__",
+                        lambda self: built.append(self))
+    words = enumerate_codewords(code)
+    length_weight_enumerator(code)
+    assert built == []
+    assert all(x is ALL_ELEMS[3 * x.a + x.b] for w in words for x in w)
+
+
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match="equal length"):
+        CodeOverR.from_pairs([[(1, 0), (0, 0), (0, 1)], [(0, 0), (1, 0)]])
+    with pytest.raises(ValueError, match="equal length"):
+        CodeOverR.parse("1 0 v\n0 1\n")
 
 
 def test_lwe_polynomial():

@@ -450,6 +450,15 @@ def test_reduced_basis_of_the_catalog(name):
                for k in range(1, g.n))
 
 
+def test_catalog_entries_are_built_once():
+    for name in CATALOG_NAMES:
+        assert catalog(name) is catalog(name)
+    assert catalog("Z5") is not catalog("Z5")
+    assert catalog("Z5") == catalog("Z5")
+    with pytest.raises(UnknownLattice):
+        catalog("Zn")
+
+
 def test_reduced_grams_keep_their_basis():
     """A reduced Gram is searched as given, with its own factors."""
     for name in ("A2", "C2", "C3", "Z3"):
