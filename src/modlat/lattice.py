@@ -11,11 +11,17 @@ Gram, where its tree is smaller.  The search tree is expanded one level
 at a time over batches of nodes in numpy: float centres and a guard band
 on the cutoff decide the pruning, and each node expands only the
 children its float test can keep, up to a proven rounding slack, while
-exact integer partial sums give each vector's norm.  The integers are
-int64 while a coordinate cap, derived before the search and checked
-during it, keeps them below 2^62, and Python ints otherwise, so counts
-are exact for every Gram.  A node budget counts the nodes kept by the
-search in the reduced basis.
+exact integer partial sums give each vector's norm.  A node is a prefix
+of the last coordinates; prefixes with equal exact partial sums have
+the same completions with the same norms, so the children of a batch
+that share them are merged into one node with an integer weight, the
+number of prefixes it stands for, and a leaf adds its weight to the
+count of its norm.  The integers are int64 while a coordinate cap,
+derived before the search and checked during it, keeps them below 2^62,
+and Python ints otherwise, and weights whose sums could pass 2^62 are
+added as Python ints, so counts are exact for every Gram.  A node budget
+counts the nodes kept by the search in the reduced basis, each merged
+node once.
 
 numpy is imported by the functions that use it, `_reduced` and `_search`
 with its helpers, not at the top of the module: it loads at the first
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, isqrt, lcm, sqrt
-from operator import mul, truediv
+from operator import mul, sub, truediv
 
 from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
                      SingularSystem, UnknownLattice)
@@ -46,10 +52,11 @@ class GramMatrix:
 
     `ldl` holds the exact LDL^T factors (L, d) found by the
     positive-definiteness check at construction.  The reduced basis
-    `theta_coefficients` searches in is kept in `_reduced` once formed.
+    `theta_coefficients` searches in is kept in `_reduced` once formed,
+    and the dual Gram in `_dual` (`_dual_gram`).
     """
 
-    __slots__ = ("entries", "n", "ldl", "_hash", "_reduced")
+    __slots__ = ("entries", "n", "ldl", "_hash", "_reduced", "_dual")
 
     def __init__(self, entries):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -73,6 +80,7 @@ class GramMatrix:
         object.__setattr__(self, "ldl", _ldl(U, s, Fraction))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_reduced", None)
+        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, *_):
         raise AttributeError("GramMatrix is immutable")
@@ -198,6 +206,22 @@ def _inverse(gram):
     return [[Fraction(s * x, det) for x in row[n:]] for row in rows]
 
 
+def _dual_gram(gram):
+    """Gram of the dual lattice, G^-1, exactly, in the reversed basis
+    order; kept on the Gram after the first call.
+
+    In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
+    count of the dual side of a secrecy function is read from G's own
+    diagonal.  That count is a bound on the dual's vector counts; the
+    enumerator searches the dual in its LLL-reduced basis, whose tree it
+    does not describe.
+    """
+    if gram._dual is None:
+        dual = GramMatrix([row[::-1] for row in reversed(_inverse(gram))])
+        object.__setattr__(gram, "_dual", dual)
+    return gram._dual
+
+
 def gram_from_generator(rows):
     """Exact M*M^T from rational generator rows; rows must be independent."""
     M = [[Fraction(x) for x in row] for row in rows]
@@ -257,11 +281,13 @@ DEFAULT_BUDGET = 10 ** 8
 #: at most one pending batch per tree level, so this bounds its memory.
 #: A reduced basis fills more levels at once than BW16's shipped one did:
 #: a BW16 search to norm 30 stopped by a budget of 2e6 nodes peaks at
-#: about 14 MB of arrays with 2^13, 26 MB with 2^14 and 50 MB with 2^15
+#: about 13 MB of arrays with 2^13, 26 MB with 2^14 and 48 MB with 2^15
 #: (35 MB in the shipped basis).  With 2^13 a batch's one-dimensional
 #: int64 arrays (64 KB) also stay below glibc's default 128 KB mmap
-#: threshold; a process whose threshold has grown runs mid-size searches
-#: 5-12% faster with 2^15.
+#: threshold; a process whose threshold has grown ran mid-size searches
+#: 5-12% faster with 2^15.  Nodes merge only within a batch, and the
+#: index of a node in its batch fits in the low 13 bits of the int64
+#: sort key of `_merge`.
 CHUNK = 1 << 13
 
 #: Exact integers at or above this magnitude are held as Python ints.
@@ -284,10 +310,14 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     children in numpy.  Beside the float centres it carries the exact
     partial sums B_i = sum_{k>=j} G''_ik x_k and the partial norm
     x^T G'' x of each node, so every leaf's norm is an exact integer and
-    the counts are exact.  The integers are int64 while a cap on the
+    the counts are exact.  Children of a batch with equal exact sums and
+    partial norm are merged into one node that carries their number as
+    an integer weight, and each leaf adds its weight to the count of its
+    norm (`_search`).  The integers are int64 while a cap on the
     coordinates, checked as the search goes, keeps them below 2^62, and
     Python ints otherwise.  The search counts the nodes it keeps, in the
-    reduced basis; more than `budget` raises BoundTooLarge.
+    reduced basis and after merging; more than `budget` raises
+    BoundTooLarge.
 
     Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
     floor(max_norm); rational Grams give the nonzero counts only, sorted
@@ -452,18 +482,44 @@ def _search(G, L, d, C, qmax, budget, cap):
     c_j and budget rem is kept when the float test d_j (v - c_j)^2 <= rem
     holds.  Each node expands only the v in its range, the roots of that
     test widened by a proven rounding slack (see `ranges`), so the range
-    holds every child the test keeps: the set of kept nodes, and so the
-    node count, is that of a scalar recursion with the same test over
-    any range that holds the test's roots, and does not depend on the
-    batching.  With a `cap` the integers are int64 and _OutsideCap is
-    raised if a range reaches it; without, they are Python ints.
+    holds every child the test keeps.  With a `cap` the integers are
+    int64 and _OutsideCap is raised if a range reaches it; without, they
+    are Python ints.
 
-    A batch holds the nodes of one level as arrays: float centres c,
-    exact partial sums B, partial norms Q, float partial norms P, the
-    float budget rem = C - P left for the lower levels, and the ranges
-    [lo, hi] of the next coordinate.  `zero` marks a batch whose first
-    node is the all-zero prefix: its range starts at 0, and its first
-    child (x_j = 0, always kept) is again the all-zero prefix.
+    A node at level j is a prefix x_j .. x_(n-1).  It carries the exact
+    partial norm Q = sum_{i,k>=j} G_ik x_i x_k and the exact partial sums
+    B_i = sum_{k>=j} G_ik x_k for i < j, and every completion x_<j has
+    the norm
+        x^T G x = Q + 2 sum_{i<j} x_i B_i + x_<j^T G_<j x_<j.
+    With G = L D L^T the centres satisfy B_<j = -L_<j D_<j c_<j, so c_<j
+    = -D^-1 L^-1 B_<j, and the projected partial norm, the least norm of
+    a completion, is P = Q - B_<j^T G_<j^-1 B_<j: the key (Q, B_<j) fixes
+    the completions, their exact norms and, but for rounding, the float
+    data that prunes them.  So nodes with equal keys are merged
+    (`_merge`, within a batch of children) into one node whose weight is
+    the number of prefixes it stands for, and a leaf adds its weight to
+    the tally.  The merged node keeps the float data of one of them; the
+    floats of the others differ from it by rounding only, far inside the
+    guard band that makes the float test keep every completion of norm
+    at most the cutoff, so the counts are those of the unmerged search.
+    Nodes are merged only after their exact keys are compared.
+
+    A node is one merged node: the search counts the nodes it keeps after
+    merging, each leaf once, and more than `budget` raises BoundTooLarge.
+    Merging is tried on a batch of at least MERGE_MIN children, at each
+    level until a batch there would shrink by less than a quarter, so it
+    follows the duplication the search meets.  A search whose batches
+    stay below MERGE_MIN keeps the node set of a scalar recursion with
+    the same test over any range that holds the test's roots.
+
+    A batch holds the nodes of one level as arrays, one column per node
+    in the two-dimensional ones: float centres c, exact partial sums B,
+    partial norms Q, float partial norms P, the float budget rem = C - P
+    left for the lower levels, and the ranges [lo, hi] of the next
+    coordinate; beside it go the weights, None while every weight is 1.
+    `zero` marks a batch whose first node is the all-zero prefix: its
+    range starts at 0, and its first child (x_j = 0, always kept) is
+    again the all-zero prefix.
     """
     import numpy as np
 
@@ -484,7 +540,7 @@ def _search(G, L, d, C, qmax, budget, cap):
         + w)).  Both ends lie within a (1 + 2^-46) of 0, so a < cap - 1
         keeps every child inside the cap.
         """
-        cj = c[:, j]
+        cj = c[j]
         r = np.sqrt(np.maximum(rem, 0.0) / d[j])
         a = r + np.abs(cj)
         if cap is not None and a.max() >= cap - 1:
@@ -500,30 +556,34 @@ def _search(G, L, d, C, qmax, budget, cap):
     r = sqrt(C / d[n - 1])
     if cap is not None and r >= cap - 1:
         raise _OutsideCap
-    root = (np.zeros((1, n)), np.zeros((1, n), dtype=dtype),
+    root = (np.zeros((n, 1)), np.zeros((n, 1), dtype=dtype),
             np.zeros(1, dtype=dtype), np.zeros(1), np.full(1, C),
             np.zeros(1, dtype=dtype),
             np.array([floor(r + r * 2.0 ** -48)], dtype=dtype))
-    stack = [(n - 1, True, root)]
+    stack = [(n - 1, True, root, None)]
+    merging = [True] * n
     tally = {}
     nodes = 0
     while stack:
-        j, zero, batch = stack.pop()
+        j, zero, batch, wt = stack.pop()
         size = _widths(*batch[-2:], dtype)
         ends = np.cumsum(size)
         total = int(ends[-1])
         if total > CHUNK:
             k = int(np.searchsorted(ends, CHUNK, side="right"))
             if k:
-                stack.append((j, False, tuple(a[k:] for a in batch)))
-                batch = tuple(a[:k] for a in batch)
+                stack.append((j, False, tuple(a[..., k:] for a in batch),
+                              None if wt is None else wt[k:]))
+                batch = tuple(a[..., :k] for a in batch)
+                wt = None if wt is None else wt[:k]
             else:
                 # the first node alone has more than CHUNK children
                 lo, hi = batch[-2:]
                 cut = lo[:1] + CHUNK
                 stack.append((j, False, batch[:-2]
-                              + (np.concatenate((cut, lo[1:])), hi)))
-                batch = tuple(a[:1] for a in batch[:-1]) + (cut - 1,)
+                              + (np.concatenate((cut, lo[1:])), hi), wt))
+                batch = tuple(a[..., :1] for a in batch[:-1]) + (cut - 1,)
+                wt = None if wt is None else wt[:1]
             size = _widths(*batch[-2:], dtype)
             ends = np.cumsum(size)
             total = int(ends[-1])
@@ -535,29 +595,128 @@ def _search(G, L, d, C, qmax, budget, cap):
         v = (lo - first)[parent] + step
         # int64 v is cast to float exactly where it meets a float
         vf = v.astype(np.float64) if dtype is object else v
-        t = vf - c[:, j][parent]
+        t = vf - c[j][parent]
         contrib = d[j] * t * t
         keep = np.flatnonzero(contrib <= rem[parent])
-        nodes += len(keep)
-        if nodes > budget:
-            raise BoundTooLarge("enumeration exceeded budget of %d nodes"
-                                % budget)
         if not len(keep):
             continue
         parent, v = parent[keep], v[keep]
-        Qc = Q[parent] + v * (2 * B[:, j][parent] + G[j, j] * v)
+        if wt is not None:
+            wt = wt[parent]
+        Qc = Q[parent] + v * (2 * B[j][parent] + G[j, j] * v)
+        if j:
+            Pc = P[parent] + contrib[keep]
+            Bc = B[:j].take(parent, axis=1) + G[:j, j, None] * v
+            if merging[j] and len(keep) >= MERGE_MIN:
+                merged = _merge(Qc, Bc, wt, zero)
+                if merged is None:
+                    merging[j] = False
+                else:
+                    rep, wt = merged
+                    parent, v, Qc, Pc = (parent[rep], v[rep], Qc[rep],
+                                         Pc[rep])
+                    Bc = Bc.take(rep, axis=1)
+        nodes += len(Qc)
+        if nodes > budget:
+            raise BoundTooLarge("enumeration exceeded budget of %d nodes"
+                                % budget)
         if j == 0:
-            norms = Qc[1:] if zero else Qc
-            _tally(tally, norms[norms <= qmax])
+            if zero:
+                Qc, wt = Qc[1:], None if wt is None else wt[1:]
+            inside = Qc <= qmax
+            _tally(tally, Qc[inside], None if wt is None else wt[inside])
             continue
         vf = v.astype(np.float64) if dtype is object else v
-        Pc = P[parent] + contrib[keep]
-        cc = c.take(parent, axis=0)[:, :j] - L[j, :j] * vf[:, None]
-        Bc = B.take(parent, axis=0)[:, :j] + G[j, :j] * v[:, None]
+        cc = c[:j].take(parent, axis=1) - L[j, :j, None] * vf
         remc = C - Pc
         stack.append((j - 1, zero, (cc, Bc, Qc, Pc, remc)
-                      + ranges(j - 1, cc, remc, zero)))
+                      + ranges(j - 1, cc, remc, zero), wt))
     return tally, nodes
+
+
+#: Fewest children of a batch `_search` tries to merge.  Below it a merge
+#: costs about what it saves: with 2^8 the half-scaled ExampleDim8 search
+#: to norm 3, whose batches hold at most 510 children, ran 8% slower than
+#: with no merging; with 2^10 no search that merges ran slower, and BW16
+#: to norm 4, whose merges shrink batches by a third to a half, ran 4-9%
+#: faster.
+MERGE_MIN = 1 << 10
+
+#: The index of a node in its batch, below CHUNK, fits in the low
+#: _INDEX_BITS bits of an int64.
+_INDEX_BITS = (CHUNK - 1).bit_length()
+
+
+def _splitmix64(i):
+    """The i-th output of the SplitMix64 generator (Steele, Lea and
+    Flood 2014) from seed 0."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 % (1 << 64)
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % (1 << 64)
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % (1 << 64)
+    return z ^ z >> 31
+
+
+#: Multipliers of the linear hash `_key`, one per column: odd, below 2^62.
+_MIX = tuple(_splitmix64(i) >> 2 | 1 for i in range(64))
+
+
+def _key(Q, B):
+    """An int64 hash of each node (Q, B), the same for equal nodes: a
+    linear form in the node's column with the multipliers `_MIX`, taken
+    mod 2^64 in int64 arithmetic or, for Python ints, mod 2^63."""
+    import numpy as np
+
+    m = len(_MIX)
+    mix = np.array([_MIX[i % m] for i in range(len(B) + 1)],
+                   dtype=Q.dtype)
+    key = Q * mix[-1] + mix[:-1] @ B
+    if key.dtype == object:
+        key = (key & ((1 << 63) - 1)).astype(np.int64)
+    return key
+
+
+def _merge(Q, B, wt, zero):
+    """(nodes, weights) of the groups of equal nodes (Q, B), or None when
+    fewer than a quarter of the nodes could merge.
+
+    Q is a row of partial norms and B has a column of partial sums per
+    node.  The nodes are sorted by `_key`, with the node's index in the
+    low _INDEX_BITS bits of the sort key, and a node joins the one before
+    it only if both have equal keys, equal Q and equal columns of B, so a
+    collision of keys can cost a merge but never a count.  Each group is
+    kept as its first node, with the sum of the weights `wt` (1 each when
+    None) of its nodes; with `zero`, node 0, the all-zero prefix, stays
+    first whatever its key.
+    """
+    import numpy as np
+
+    k = len(Q)
+    packed = _key(Q, B) << _INDEX_BITS | np.arange(k)
+    if zero:
+        packed[0] = -1 << 63
+    packed.sort()
+    order = packed & (CHUNK - 1)
+    packed >>= _INDEX_BITS
+    same = packed[1:] == packed[:-1]
+    if 4 * np.count_nonzero(same) < k:
+        return None
+    Q, B = Q[order], B.take(order, axis=1)
+    same &= Q[1:] == Q[:-1]
+    same &= (B[:, 1:] == B[:, :-1]).all(axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    if wt is None:
+        return order[starts], np.diff(starts, append=k)
+    return order[starts], _run_sums(wt[order], starts)
+
+
+def _run_sums(wt, starts):
+    """np.add.reduceat(wt, starts), exactly: int64 weights whose sums
+    could reach 2^62 are summed as Python ints."""
+    import numpy as np
+
+    if wt.dtype != object and int(wt.max()) >= _INT64_LIMIT // len(wt):
+        wt = wt.astype(object)
+    return np.add.reduceat(wt, starts)
 
 
 def _widths(lo, hi, dtype):
@@ -573,22 +732,29 @@ def _widths(lo, hi, dtype):
     return hi - lo + 1
 
 
-def _tally(tally, norms):
-    """Add the count of each distinct value of `norms` to `tally`.
+def _tally(tally, norms, wt):
+    """Add the weight (1 each when `wt` is None) of each distinct value
+    of `norms` to `tally`.
 
-    The same as np.unique(norms, return_counts=True), at half its
-    overhead on the few leaves of a low-norm call.
+    The same as np.unique(norms, return_counts=True) when unweighted, at
+    half its overhead on the few leaves of a low-norm call.
     """
     import numpy as np
 
     if len(norms):
-        norms = np.sort(norms)
+        if wt is None:
+            norms = np.sort(norms)
+        else:
+            order = np.argsort(norms)
+            norms, wt = norms[order], wt[order]
         last = np.flatnonzero(norms[1:] != norms[:-1])
         ends = last.tolist() + [len(norms) - 1]
-        start = -1
-        for q, end in zip(norms[ends].tolist(), ends):
-            tally[q] = tally.get(q, 0) + end - start
-            start = end
+        if wt is None:
+            counts = map(sub, ends, [-1] + ends[:-1])
+        else:
+            counts = _run_sums(wt, np.append(0, last + 1)).tolist()
+        for q, k in zip(norms[ends].tolist(), counts):
+            tally[q] = tally.get(q, 0) + k
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import TailBoundNotMet
-from .lattice import DEFAULT_BUDGET, GramMatrix, _inverse, theta_coefficients
+from .lattice import (DEFAULT_BUDGET, GramMatrix, _dual_gram,
+                      theta_coefficients)
 from .modform import ThetaDecomposition, certified_decomposition
 from .theta import FORMULAS, eta, jacobi_theta2, jacobi_theta3, jacobi_theta4
 
@@ -109,17 +110,6 @@ def _gamma(k):
     """Higham's gamma_k = k*u / (1 - k*u), u = 2^-53 the unit roundoff."""
     u = 2.0 ** -53
     return k * u / (1.0 - k * u)
-
-
-def _dual_gram(gram):
-    """Gram of the dual lattice, G^-1, exactly, in the reversed basis order.
-
-    In that order the LDL^T diagonal of G^-1 is 1/d reversed, so the box
-    count of the dual side is read from G's own diagonal.  That count is
-    a bound on the dual's vector counts; the enumerator searches the dual
-    in its LLL-reduced basis, whose tree it does not describe.
-    """
-    return GramMatrix([row[::-1] for row in reversed(_inverse(gram))])
 
 
 class _Side:

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modlat import codes, fixtures, lattice
+from modlat import codes, fixtures, lattice, theta
 from modlat.errors import (BoundTooLarge, ModlatError, NotIntegral,
                            RankDeficient, UnknownLattice)
-from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog, ell_from_det,
-                            gram_from_generator, hnf_basis,
+from modlat.lattice import (CATALOG_NAMES, GramMatrix, _dual_gram, catalog,
+                            ell_from_det, gram_from_generator, hnf_basis,
                             theta_coefficients)
-from modlat.secrecy import _dual_gram
 
 
 def test_z2_circle_counts():
@@ -156,8 +155,12 @@ def test_exact_factors_property(gram):
 def test_gram_pickle_and_copy(clone):
     for name in ("D4", "C2"):
         g = catalog(name).gram
+        dual = _dual_gram(g)
+        assert _dual_gram(g) is dual
         h = clone(g)
         assert h == g and hash(h) == hash(g) and h.ldl == g.ldl
+        # the clone is built by the constructor: its dual is formed anew
+        assert h._dual is None and _dual_gram(h) == dual
     half = GramMatrix([[Fraction(x, 2) for x in row]
                        for row in catalog("D4").gram.entries])
     assert clone(half) == half
@@ -299,7 +302,9 @@ def _half(gram):
 
 @pytest.mark.parametrize("name, max_norm, nodes", [
     ("D4", 8, 131), ("E8", 4, 2712), ("ExampleDim8", 6, 1880),
-    ("K12", 4, 1692), ("D4/2", 4, 131)])
+    ("K12", 4, 1692), ("D4/2", 4, 131),
+    # merged nodes count once: 24222 nodes before merging
+    ("E8", 8, 1178)])
 def test_node_budget_thresholds(name, max_norm, nodes):
     base = name.split("/")[0]
     g = catalog(base).gram
@@ -548,3 +553,84 @@ def test_tight_ranges_keep_the_nodes_of_the_scalar_search(entries):
             for cap in (lattice._int64_cap(G, qmax), None):
                 assert lattice._search(G, L, d, C, qmax, 10 ** 6, cap) \
                     == want, (C, cap)
+
+
+def _search_args(gram, max_norm):
+    """`_search`'s arguments for the reduced basis of a Gram."""
+    s, G, L, d = lattice._reduced(gram)
+    qmax = floor(max_norm * s)
+    C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
+    return G, L, d, C, qmax
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_merged_search_matches_the_scalar_search(data):
+    # small entries, so that many prefixes share their partial sums;
+    # with MERGE_MIN = 1 every batch is offered for merging, so small
+    # trees merge too, and as merged nodes count once the merged search
+    # keeps at most the scalar search's nodes
+    n = data.draw(st.integers(3, 8))
+    half = st.builds(Fraction, st.integers(-1, 1), st.sampled_from((1, 2)))
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = data.draw(st.builds(Fraction, st.integers(1, 4),
+                                            st.sampled_from((1, 1, 2))))
+        for j in range(i):
+            entries[i][j] = entries[j][i] = data.draw(half)
+    try:
+        gram = GramMatrix(entries)
+    except ValueError:
+        assume(False)
+    max_norm = data.draw(st.builds(Fraction, st.integers(1, 12),
+                                   st.integers(1, 2)))
+    G, L, d, C, qmax = _search_args(gram, max_norm)
+    want, scalar_nodes = _scalar_search(G, L.tolist(), d, C, qmax)
+    assume(scalar_nodes <= 20000)
+    for merge_min in (1, lattice.MERGE_MIN):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "MERGE_MIN", merge_min)
+            for cap in (lattice._int64_cap(G, qmax), None):
+                tally, nodes = lattice._search(G, L, d, C, qmax, 10 ** 6, cap)
+                assert tally == want and nodes <= scalar_nodes
+
+
+@pytest.mark.parametrize("key", [
+    # every row hashes alike: only the row check decides a merge
+    lambda Q, B: np.zeros(len(Q), dtype=np.int64),
+    # the all-zero prefix, Q = 0, gets the largest key
+    lambda Q, B: -Q.astype(np.int64),
+])
+def test_merging_is_exact_whatever_the_key(monkeypatch, key):
+    for name, norm in (("E8", 8), ("ExampleDim8", 10), ("K12", 6)):
+        gram = catalog(name).gram
+        G, L, d, C, qmax = _search_args(gram, norm)
+        cap = lattice._int64_cap(G, qmax)
+        want = _scalar_search(G, L.tolist(), d, C, qmax)[0]
+        with monkeypatch.context() as mp:
+            mp.setattr(lattice, "MERGE_MIN", 1)
+            mp.setattr(lattice, "_key", key)
+            for c in (cap, None):
+                assert lattice._search(G, L, d, C, qmax, 10 ** 6, c)[0] \
+                    == want, name
+
+
+def test_merged_weights_add_exactly_past_int64():
+    # Z^n searches merge on Q alone (B = 0): Z^40 has 5e23 vectors of
+    # norm <= 40 and Z^64 4e19 of norm <= 16, so the weights pass
+    # 2^53 and 2^63 and must be added as integers
+    t3 = theta.expand("theta3", 41)
+    for n, norm in ((40, 40), (64, 16)):
+        got = theta_coefficients(catalog("Z%d" % n).gram, norm)
+        series = t3 ** n
+        assert got == [(Fraction(m), series.coeff_at(m))
+                       for m in range(norm + 1)]
+        assert max(c for _, c in got) > 2 ** 63
+    # the Python-int search agrees, and int64 weights summing past
+    # 2^63 are added exactly
+    G, L, d, C, qmax = _search_args(catalog("Z40").gram, 40)
+    assert lattice._search(G, L, d, C, qmax, 10 ** 6, None) == \
+        lattice._search(G, L, d, C, qmax, 10 ** 6,
+                        lattice._int64_cap(G, qmax))
+    wt = np.array([2 ** 62, 2 ** 62, 3], dtype=np.int64)
+    assert lattice._run_sums(wt, [0, 2]).tolist() == [2 ** 63, 3]
