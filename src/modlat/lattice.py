@@ -321,9 +321,23 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
 
     Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
     floor(max_norm); rational Grams give the nonzero counts only, sorted
-    by norm.
+    by norm.  Both are read from `_norm_counts`.
     """
     max_norm = Fraction(max_norm)
+    scale, counts = _norm_counts(gram, max_norm, budget)
+    if scale == 1:
+        return [(Fraction(m), counts.get(m, 0))
+                for m in range(int(max_norm) + 1)]
+    return [(Fraction(q, scale), k) for q, k in sorted(counts.items())]
+
+
+def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
+    """(s, {q: A}): the nonzero counts A of the vectors of norm q/s <=
+    max_norm, keyed by the integer q, with s the lcm of the Gram's
+    denominators; the search of `theta_coefficients`, without a Fraction
+    per norm."""
+    if not isinstance(max_norm, (int, Fraction)):
+        max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
     scale, G, L, d = _reduced(gram)
@@ -337,11 +351,9 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
         except _OutsideCap:
             tally = _search(G, L, d, C, qmax, budget, None)[0]
     # the tally counts one of each pair +-x
-    if scale == 1:
-        return [(Fraction(0), 1)] + [(Fraction(m), 2 * tally.get(m, 0))
-                                     for m in range(1, int(max_norm) + 1)]
-    return [(Fraction(0), 1)] + [(Fraction(q, scale), 2 * k)
-                                 for q, k in sorted(tally.items())]
+    counts = {q: 2 * k for q, k in tally.items()}
+    counts[0] = 1
+    return scale, counts
 
 
 #: Lovasz constant of the reduction `_lll` makes.

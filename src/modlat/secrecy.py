@@ -27,7 +27,16 @@ pi/y.  Each y takes the side whose box count P(R) at its own smallest
 certifying cutoff R is smaller (the primal on a tie), so far below the
 symmetry point the dual is summed.  The cutoffs are fixed before
 anything is enumerated, and a curve or a maximum search enumerates each
-side once, to the deepest cutoff its points need.
+side once, to the deepest cutoff its points need.  The choice of side
+is monotone in y, so a call plans both sides only at the points of a
+bisection for the switch from the dual to the primal; every other point
+takes its side from the bracket found and computes that side's cutoff
+alone, and the tail bound found with the cutoff is the one reported.
+The box polynomials, det(G)^(-1/2) and whether G is the identity are
+computed once per Gram.  The counts are read as integers per integer
+norm q of the Gram scaled by the lcm s of its denominators, each norm
+q/s rounded once to a float, with no `Fraction` per norm
+(`lattice._norm_counts`).
 
 The secrecy function compares a lattice against the cubic lattice of
 the same volume: Xi(y) = theta3(i*sqrt(ell)*y)^n / Theta_Lambda(i*y).
@@ -42,10 +51,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import TailBoundNotMet
-from .lattice import (DEFAULT_BUDGET, GramMatrix, _dual_gram,
-                      theta_coefficients)
+from .lattice import DEFAULT_BUDGET, GramMatrix, _dual_gram, _norm_counts
 from .modform import ThetaDecomposition, certified_decomposition
 from .theta import FORMULAS, eta, jacobi_theta2, jacobi_theta3, jacobi_theta4
 
@@ -112,6 +121,28 @@ def _gamma(k):
     return k * u / (1.0 - k * u)
 
 
+@lru_cache(maxsize=256)
+def _constants(gram):
+    """(c of the primal side, c of the dual side, det(G)^(-1/2), whether
+    G is the identity) for `_Side` and `_GramTheta`.
+
+    They depend on the Gram alone, so they are memoized, as the
+    certificates are (`modform.certified_decomposition`).
+    """
+    n = gram.n
+    sides = []
+    for dual in (False, True):
+        c = [1.0]
+        for x in gram.ldl[1]:
+            r = math.sqrt(float(x))
+            b = 2.0 * r if dual else 2.0 / r
+            c = [u + b * v for u, v in zip(c + [0.0], [0.0] + c)]
+        sides.append(tuple(c))
+    cubic = all(gram.entries[i][j] == (i == j)
+                for i in range(n) for j in range(n))
+    return sides[0], sides[1], float(gram.determinant()) ** -0.5, cubic
+
+
 class _Side:
     """One side of Theta_L(iy) = w(y) * sum_m A_m exp(-a(y) * m).
 
@@ -124,18 +155,16 @@ class _Side:
     vectors of norm <= t in any basis order; it is the box of the given
     order, so the cutoffs do not depend on the reduced basis that
     `theta_coefficients` searches in, whose tree it does not describe.
+    The counts are read as integers, with each norm rounded once to a
+    float (`lattice._norm_counts`).
     """
 
     def __init__(self, gram, dual):
-        c = [1.0]
-        for x in gram.ldl[1]:
-            r = math.sqrt(float(x))
-            b = 2.0 * r if dual else 2.0 / r
-            c = [u + b * v for u, v in zip(c + [0.0], [0.0] + c)]
-        self.c = c
+        primal_c, dual_c, weight, _ = _constants(gram)
+        self.c = dual_c if dual else primal_c
         self.gram = gram
         self.dual = dual
-        self.scale = float(gram.determinant()) ** -0.5 if dual else 1.0
+        self.scale = weight if dual else 1.0
         self.depth = -1
         self.norms = self.counts = ()
 
@@ -175,38 +204,46 @@ class _Side:
         return total * _ROUND_UP
 
     def cutoff(self, a, eps):
-        """Smallest integer R <= MAX_CUTOFF with tail(a, R) <= eps, or None."""
+        """(R, tail(a, R)) for the smallest integer R <= MAX_CUTOFF with
+        tail(a, R) <= eps, or (None, None)."""
         if not eps > 0:
-            return None
+            return None, None
         # start near the root of P(R) e^(-a*R) = eps, which the tail
         # bound follows closely; the bound falls as R grows
         R = 0.0
         for _ in range(3):
             R = min(MAX_CUTOFF, max(0.0, math.log(self.box(R) / eps)) / a)
         R = int(R)
-        if self.tail(a, R) <= eps:
-            while R and self.tail(a, R - 1) <= eps:
-                R -= 1
-            return R
+        t = self.tail(a, R)
+        if t <= eps:
+            while R:
+                below = self.tail(a, R - 1)
+                if not below <= eps:
+                    break
+                R, t = R - 1, below
+            return R, t
         while R < MAX_CUTOFF:
             R += 1
-            if self.tail(a, R) <= eps:
-                return R
-        return None
+            t = self.tail(a, R)
+            if t <= eps:
+                return R, t
+        return None, None
 
     def enumerate(self, R, budget):
         gram = _dual_gram(self.gram) if self.dual else self.gram
-        pairs = [(float(m), k) for m, k in theta_coefficients(gram, R, budget)
-                 if k]
-        self.norms = [m for m, _ in pairs]
-        self.counts = [k for _, k in pairs]
+        scale, counts = _norm_counts(gram, R, budget)
+        qs = sorted(counts)
+        # q / scale is rounded once, as float(Fraction(q, scale)) is
+        self.norms = [q / scale for q in qs]
+        self.counts = [counts[q] for q in qs]
         self.depth = R
 
-    def read(self, y, R):
-        """ThetaValue at i*y from the counts of norm <= R.
+    def read(self, y, R, tail):
+        """ThetaValue at i*y from the counts of norm <= R, whose tail bound
+        at the rate of y is `tail` (`cutoff`).
 
-        `bound_on_tail` is w(y) times the tail bound past R, plus a bound
-        on the rounding of the value (Higham, "Accuracy and Stability of
+        `bound_on_tail` is w(y) times that bound, plus a bound on the
+        rounding of the value (Higham, "Accuracy and Stability of
         Numerical Algorithms", 2002, sections 2.2, 3.1 and 4.2; unit
         roundoff u = 2^-53, gamma_k = k*u / (1 - k*u)), with libm's exp
         and pow taken as correct to one ulp:
@@ -228,25 +265,27 @@ class _Side:
         """
         a = self.rate(y)
         used = bisect_right(self.norms, R)
+        counts = self.counts[:used]
+        exp = math.exp
         s = moved = spread = 0.0
-        nonzero = tiny = 0
-        for m, k in zip(self.norms[:used], self.counts[:used]):
+        zeros = 0
+        for m, k in zip(self.norms, counts):
             x = a * m
-            t = k * math.exp(-x)
+            t = k * exp(-x)
             s += t
             if x:
                 moved += t
                 spread += x * t
-            nonzero += t > 0
-            tiny += k + 1
-        rounding = (_gamma(max(nonzero - 1, 0)) * s + _gamma(3) * moved
+            if not t:
+                zeros += 1
+        tiny = sum(counts) + used
+        rounding = (_gamma(max(used - zeros - 1, 0)) * s + _gamma(3) * moved
                     + _gamma(4) * spread + tiny * 2.0 ** -1074) * _ROUND_UP
         if not self.dual:
-            return ThetaValue(s, self.tail(a, R) + rounding, used, "primal")
+            return ThetaValue(s, tail + rounding, used, "primal")
         w = self.scale * y ** (-self.gram.n / 2)
         value = w * s
-        bound = (w * (self.tail(a, R) + rounding)
-                 + value * _gamma(7)) * _ROUND_UP
+        bound = (w * (tail + rounding) + value * _gamma(7)) * _ROUND_UP
         return ThetaValue(value, bound, used, "dual")
 
 
@@ -254,43 +293,104 @@ class _GramTheta:
     """Theta of a Gram at points planned before anything is enumerated.
 
     Each y is given the side with the smaller box count P(R) at its own
-    cutoff R, the primal on a tie.  `prepare` and `prepare_span` take
-    every point a call will read, and enumerate each side once, to the
-    deepest cutoff its points need; `value` then reads each point from
-    those counts.
+    cutoff R, the primal on a tie.  A larger y lowers the primal cutoff
+    and raises the dual one, so the dual takes every y below a switch
+    and the primal every y above it.  A point planned in full, both
+    cutoffs and the costs compared, moves the bracket [dual_to,
+    primal_from] that holds the switch; a point outside it takes its
+    side from the bracket and needs only that side's cutoff.  `prepare`
+    and `prepare_span` bisect for the switch among the points a call
+    will read, and enumerate each side once, to the deepest cutoff its
+    points need; `value` then reads each point from those counts.
     """
 
     def __init__(self, gram, eps, budget):
-        n = gram.n
-        self.cubic = all(gram.entries[i][j] == (i == j)
-                         for i in range(n) for j in range(n))
-        self.n = n
+        self.cubic = _constants(gram)[3]
+        self.n = gram.n
         self.sides = (_Side(gram, False), _Side(gram, True))
         self.eps, self.budget = eps, budget
         self.plans = {}
+        self.dual_to, self.primal_from = 0.0, math.inf
+
+    def _probe(self, y):
+        """(side index, (R, tail) of both sides) for y, planned in full."""
+        if not y > 0:
+            raise ValueError("y must be positive")
+        cut = [side.cutoff(side.rate(y), self.eps) for side in self.sides]
+        cost = [math.inf if R is None else side.box(R)
+                for side, (R, _) in zip(self.sides, cut)]
+        if cost[0] == cost[1] == math.inf:
+            self._not_met(y)
+        i = int(cost[1] < cost[0])
+        if i:
+            self.dual_to = max(self.dual_to, y)
+        else:
+            self.primal_from = min(self.primal_from, y)
+        self.plans[y] = (i,) + cut[i]
+        return i, cut
+
+    def _not_met(self, y):
+        raise TailBoundNotMet(
+            "no cutoff up to %d certifies tail <= %g at y=%g on either "
+            "side" % (MAX_CUTOFF, self.eps, y))
 
     def plan(self, y):
-        """(side index, cutoffs of both sides) for y."""
-        if y not in self.plans:
-            if not y > 0:
-                raise ValueError("y must be positive")
-            cut = [side.cutoff(side.rate(y), self.eps) for side in self.sides]
-            cost = [math.inf if R is None else side.box(R)
-                    for side, R in zip(self.sides, cut)]
-            if cost[0] == cost[1] == math.inf:
-                raise TailBoundNotMet(
-                    "no cutoff up to %d certifies tail <= %g at y=%g on "
-                    "either side" % (MAX_CUTOFF, self.eps, y))
-            self.plans[y] = (int(cost[1] < cost[0]), cut)
-        return self.plans[y]
+        """(side index, cutoff R, tail bound at R) for y."""
+        if y in self.plans:
+            return self.plans[y]
+        if not y > 0 or self.dual_to < y < self.primal_from:
+            self._probe(y)  # ValueError unless y > 0
+            return self.plans[y]
+        i = int(y <= self.dual_to)
+        side = self.sides[i]
+        R, tail = side.cutoff(side.rate(y), self.eps)
+        if R is None:
+            # the side of the bracket is the one with the smaller cost,
+            # so the other side cannot certify y either
+            self._not_met(y)
+        self.plans[y] = plan = (i, R, tail)
+        return plan
+
+    def _switch(self, u, v, y_at, mid):
+        """Bisect the keys u < v for the switch from the dual side to the
+        primal, planning both ends and each midpoint in full.
+
+        `y_at(k)` is the point of key k, increasing in k; `mid(u, v, cu,
+        cv)`, with cu and cv the cutoffs of both sides at u and v, is a
+        key strictly between u and v, or None to stop.  Returns the final
+        (u, v).
+        """
+        (su, cu), (sv, cv) = self._probe(y_at(u)), self._probe(y_at(v))
+        while su != sv:
+            m = mid(u, v, cu, cv)
+            if m is None:
+                break
+            sm, cm = self._probe(y_at(m))
+            if sm == su:
+                u, cu = m, cm
+            else:
+                v, cv = m, cm
+        return u, v
 
     def prepare(self, ys):
-        """Enumerate each side once for the points `ys`."""
+        """Enumerate each side once for the points `ys`.
+
+        Only the points the bisection probes are planned in full.
+        """
+        if self.cubic or not ys:
+            return self
+        ys = sorted(ys)
+        if len(ys) > 1:
+            self._switch(0, len(ys) - 1, ys.__getitem__,
+                         lambda u, v, cu, cv:
+                         (u + v) // 2 if v - u > 1 else None)
+        return self._enumerate(ys)
+
+    def _enumerate(self, ys):
         need = [-1, -1]
-        if not self.cubic:
-            for y in ys:
-                i, cut = self.plan(y)
-                need[i] = max(need[i], cut[i])
+        for y in ys:
+            i, R, _ = self.plan(y)
+            need[i] = max(need[i], R)
         for side, R in zip(self.sides, need):
             if R > side.depth:
                 side.enumerate(R, self.budget)
@@ -299,47 +399,36 @@ class _GramTheta:
     def prepare_span(self, lo_db, hi_db):
         """Prepare every y = 10^(y_dB/10) with lo_db <= y_dB <= hi_db.
 
-        A larger y lowers the primal cutoff and raises the dual one, so
-        the dual takes the lower part of the span and the primal the
-        upper.  Bisection narrows the switch to a bracket [u, v] across
-        which one cutoff changes by one step and the other not at all.
-        Every point of the bracket then has the side and cutoff of u or
-        of v; a point below u has the side of u and a cutoff no larger,
-        and a point above v those of v.
+        Bisection narrows the switch to a bracket [u, v] across which
+        one cutoff changes by one step and the other not at all.  Every
+        point of the bracket then has the side and cutoff of u or of v; a
+        point below u has the side of u and a cutoff no larger, and a
+        point above v those of v.
         """
         if self.cubic:
             return self
 
-        def at(db):
-            return self.plan(10.0 ** (db / 10.0))
-
-        def jumps(c, d):
+        def step(R):
             # None, no cutoff up to MAX_CUTOFF, is one step past it
-            return sum(abs((MAX_CUTOFF + 1 if a is None else a)
-                           - (MAX_CUTOFF + 1 if b is None else b))
-                       for a, b in zip(c, d))
+            return MAX_CUTOFF + 1 if R is None else R
 
-        u, v = lo_db, hi_db
-        (su, cu), (sv, cv) = at(u), at(v)
-        while su != sv and jumps(cu, cv) > 1:
+        def mid(u, v, cu, cv):
             m = (u + v) / 2
-            if not u < m < v:
-                break
-            sm, cm = at(m)
-            if sm == su:
-                u, cu = m, cm
-            else:
-                v, cv = m, cm
-        return self.prepare([10.0 ** (u / 10.0), 10.0 ** (v / 10.0)])
+            jumps = sum(abs(step(a) - step(b))
+                        for (a, _), (b, _) in zip(cu, cv))
+            return m if jumps > 1 and u < m < v else None
+
+        u, v = self._switch(lo_db, hi_db, lambda db: 10.0 ** (db / 10.0), mid)
+        return self._enumerate([10.0 ** (u / 10.0), 10.0 ** (v / 10.0)])
 
     def value(self, y):
         if self.cubic:
             return self._cubic(y)
-        i, cut = self.plan(y)
+        i, R, tail = self.plan(y)
         side = self.sides[i]
-        if cut[i] > side.depth:  # a point no prepare call planned
-            side.enumerate(cut[i], self.budget)
-        return side.read(y, cut[i])
+        if R > side.depth:  # a point no prepare call planned
+            side.enumerate(R, self.budget)
+        return side.read(y, R, tail)
 
     def _cubic(self, y):
         """ThetaValue of Z^n at i*y: theta3(iy)^n, with a proven bound.
@@ -461,6 +550,21 @@ def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
     return theta3_numeric(1.0) ** n / tl.value
 
 
+def _linear(lo, hi, dbs):
+    """y = 10^(y_dB/10) for each y_dB of `dbs`, points of the dB range
+    lo..hi.  ValueError unless lo < hi and every y is a positive finite
+    float: the range is finite and lies within about -3233..3082 dB."""
+    if lo < hi:
+        try:
+            ys = [10.0 ** (db / 10.0) for db in dbs]
+        except OverflowError:
+            ys = [math.inf]
+        if all(0.0 < y < math.inf for y in ys):
+            return ys
+    raise ValueError("need a dB range lo < hi with 10^(y_dB/10) a positive "
+                     "finite float, not %g..%g" % (lo, hi))
+
+
 def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT,
                   budget=DEFAULT_BUDGET):
     """Sample Xi on a uniform dB grid; returns a list of (y_dB, xi).
@@ -468,10 +572,10 @@ def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT,
     `source` is as for `secrecy_function`.
     """
     lo, hi = y_range_db
-    if not (lo < hi and samples >= 2):
-        raise ValueError("need lo < hi and samples >= 2")
+    if not samples >= 2:
+        raise ValueError("need samples >= 2")
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    ys = [10.0 ** (ydb / 10.0) for ydb in grid]
+    ys = _linear(lo, hi, grid)
     if isinstance(source, GramMatrix):
         # the route is decided once: a certified decomposition, or both
         # sides enumerated once
@@ -496,6 +600,7 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
         c = 10.0 * math.log10(ell ** -0.5)
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
+    _linear(a, b, (a, b))
     if isinstance(source, GramMatrix):
         source = (certified_decomposition(source, budget)
                   or _GramTheta(source, eps, budget).prepare_span(a, b))

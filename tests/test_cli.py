@@ -192,6 +192,9 @@ def test_out_file(run, tmp_path):
     "gain Zn",
     # theta2 and theta3 would need more than theta.MAX_TERMS terms
     "curve A2 --range -120:-110 --samples 2",
+    # 10^(y_dB/10) overflows
+    "curve C2 --range -1e6:1e6",
+    "curve E8 --range 3100:3200",
     # the budget reaches the secrecy functions' enumerations
     "gain ExampleDim8 --budget 10",
     "curve ExampleDim8 --budget 10 --samples 3",

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from modlat import fixtures, modform, secrecy
 from modlat.errors import TailBoundNotMet
-from modlat.lattice import GramMatrix, catalog, theta_coefficients
+from modlat.lattice import GramMatrix, _norm_counts, catalog, \
+    theta_coefficients
 from modlat.modform import ThetaDecomposition, build_basis, \
     decomposition_from_fixture
 from modlat.secrecy import (eval_gram_numeric, eval_theta_numeric,
@@ -101,9 +102,9 @@ def enum_calls(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return theta_coefficients(*args, **kwargs)
+        return _norm_counts(*args, **kwargs)
 
-    monkeypatch.setattr(secrecy, "theta_coefficients", counting)
+    monkeypatch.setattr(secrecy, "_norm_counts", counting)
     return calls
 
 
@@ -158,6 +159,45 @@ def test_span_covers_every_point(enum_calls, name, ell, below, above):
     for k in range(401):
         theta.value(10.0 ** ((lo + (hi - lo) * k / 400) / 10.0))
     assert enum_calls == planned and len(planned) <= 2
+
+
+@pytest.mark.parametrize("name,ell", [("A2", 3), ("D4", 2), ("C2", 2),
+                                      ("C3", 3), ("ExampleDim8", 2)])
+@pytest.mark.parametrize("start", [-3.0, -1.5, 0.0, 1.5])
+def test_curve_plans_both_sides_only_at_its_probes(monkeypatch, name, ell,
+                                                    start):
+    # a 13-point curve over 3 dB bisects for the switch from the dual
+    # side to the primal: at most 2 + ceil(log2(12)) = 6 points get both
+    # cutoffs, every other point only its own side's
+    cutoffs = []
+    cutoff = secrecy._Side.cutoff
+
+    def counting(side, a, eps):
+        cutoffs.append((side.dual, a))
+        return cutoff(side, a, eps)
+
+    monkeypatch.setattr(secrecy._Side, "cutoff", counting)
+    g = catalog(name).gram
+    lo = 10.0 * math.log10(ell ** -0.5) + start
+    grid = [lo + 3.0 * i / 12 for i in range(13)]
+    ys = [10.0 ** (db / 10.0) for db in grid]
+    theta = secrecy._GramTheta(g, 1e-12, 10 ** 8).prepare(ys)
+    rates = [(math.pi * y, math.pi / y) for y in ys]
+    probes = [k for k, (p, d) in enumerate(rates)
+              if (False, p) in cutoffs and (True, d) in cutoffs]
+    assert 2 <= len(probes) <= 6 and 0 in probes and 12 in probes
+    assert len(cutoffs) == 13 + len(probes)
+    # each point has the side a plan in full gives it
+    full = secrecy._GramTheta(g, 1e-12, 10 ** 8)
+    for y in ys:
+        full._probe(y)
+        assert theta.plan(y) == full.plans[y]
+    assert [theta.value(y) for y in ys] == \
+        [eval_gram_numeric(g, y) for y in ys]
+    # a single point is planned in full once
+    del cutoffs[:]
+    eval_gram_numeric(g, ys[0])
+    assert len(cutoffs) == 2
 
 
 @pytest.mark.parametrize("name,ell", [("E8", 1), ("D4", 2), ("A2", 3),
@@ -233,7 +273,7 @@ def test_proven_tail_bound(entries, den, y, eps):
     tv = eval_gram_numeric(g, y, eps)
     # a primal sum far beyond the primal cutoff
     a = math.pi * y
-    deep = secrecy._Side(g, False).cutoff(a, eps) + 20
+    deep = secrecy._Side(g, False).cutoff(a, eps)[0] + 20
     ref = math.fsum(k * math.exp(-a * float(m))
                     for m, k in theta_coefficients(g, deep))
     assert abs(tv.value - ref) <= tv.bound_on_tail + 1e-15 * tv.value
@@ -274,6 +314,20 @@ def test_locate_maximum_k12():
     assert abs(10.0 * math.log10(y_star) - 10.0 * math.log10(3 ** -0.5)) \
         < 1e-4
     assert abs(xi_star - 1.6683867) < 1e-6
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (3.0, -3.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.inf),
+    (-math.inf, 0.0),
+    # 10^(y_dB/10) overflows, or is 0.0
+    (-1e6, 1e6), (3100.0, 3200.0), (-4000.0, -3000.0)])
+def test_bad_db_ranges_are_refused(lo, hi):
+    c2 = ThetaDecomposition(build_basis(2, 2, "general"), (Fraction(1),))
+    for source in (catalog("C2").gram, c2):
+        with pytest.raises(ValueError):
+            secrecy_curve(source, 2, (lo, hi), 13)
+        with pytest.raises(ValueError):
+            locate_maximum(source, 2, (lo, hi))
 
 
 def test_secrecy_curve_grid():
