@@ -23,6 +23,16 @@ added as Python ints, so counts are exact for every Gram.  A node budget
 counts the nodes kept by the search in the reduced basis, each merged
 node once.
 
+The theta series of an orthogonal sum is the product of its summands'
+(Conway and Sloane, "Sphere Packings, Lattices and Groups", ch. 2).  So
+the coordinates of the reduced basis whose row has no nonzero entry off
+the diagonal, the one-dimensional orthogonal summands gZ, are counted in
+closed form, 2 vectors of norm g x^2 for each x >= 1, only the other
+coordinates are searched, and the exact counts are convolved.  A Gram
+that reduces to a diagonal one, as Z^n, C2, C3 and their duals do, is
+not searched at all, and the node budget counts the nodes of the search
+of the rest alone.
+
 numpy is imported by the functions that use it, `_reduced` and `_search`
 with its helpers, not at the top of the module: it loads at the first
 enumeration, so `import modlat` and the paths that never enumerate
@@ -192,18 +202,25 @@ def _ldl(U, s, div):
     return L, tuple(div(minors[k + 1], s * minors[k]) for k in range(n))
 
 
-def _inverse(gram):
-    """G^-1 of a GramMatrix exactly, as rows of Fractions.
+def _adjugate(gram):
+    """(s, D, A) with s the lcm of the Gram's denominators, D = det(sG)
+    and A = adj(sG) = D (sG)^-1, as integer rows.
 
-    Bareiss elimination of [s*G | I], with s the lcm of the denominators,
-    ends at [det(sG) * I | adj(sG)], and G^-1 = s * adj(sG) / det(sG).
+    Bareiss elimination of [s*G | I] ends at [D * I | A]; sG is positive
+    definite, so no row is exchanged and D > 0.
     """
     n = gram.n
     s, G = _scale_to_integers(gram.entries)
     rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)]
     _bareiss(rows)
-    det = rows[0][0] if n else 1
-    return [[Fraction(s * x, det) for x in row[n:]] for row in rows]
+    return s, rows[0][0] if n else 1, [row[n:] for row in rows]
+
+
+def _inverse(gram):
+    """G^-1 of a GramMatrix exactly, as rows of Fractions: s * adj(sG) /
+    det(sG) (`_adjugate`)."""
+    s, det, adj = _adjugate(gram)
+    return [[Fraction(s * x, det) for x in row] for row in adj]
 
 
 def _dual_gram(gram):
@@ -319,6 +336,13 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     reduced basis and after merging; more than `budget` raises
     BoundTooLarge.
 
+    A coordinate whose row of G'' is zero off the diagonal spans a
+    one-dimensional orthogonal summand gZ, with 2 vectors of norm g x^2
+    for each x >= 1.  Such summands are counted in closed form and
+    convolved with the counts of the search of the other coordinates,
+    which alone spend the budget; a G'' that is diagonal, as for Z^n, C2
+    and C3, is not searched.
+
     Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
     floor(max_norm); rational Grams give the nonzero counts only, sorted
     by norm.  Both are read from `_norm_counts`.
@@ -334,26 +358,54 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
 def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
     """(s, {q: A}): the nonzero counts A of the vectors of norm q/s <=
     max_norm, keyed by the integer q, with s the lcm of the Gram's
-    denominators; the search of `theta_coefficients`, without a Fraction
-    per norm."""
+    denominators; the counts of `theta_coefficients`, one-dimensional
+    summands and search, without a Fraction per norm."""
     if not isinstance(max_norm, (int, Fraction)):
         max_norm = Fraction(max_norm)
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
     scale, G, L, d = _reduced(gram)
     qmax = floor(max_norm * scale)
-    tally = {}
+    counts = {0: 1}
     # every nonzero vector has a positive integer norm under G''
-    if gram.n and qmax:
+    if not (gram.n and qmax):
+        return scale, counts
+    # the coordinates whose row of G'' is zero off the diagonal span
+    # one-dimensional orthogonal summands; the others are searched on
+    # their sub-blocks of G'', L and d, which hold the LDL^T factors of
+    # their block of G'', as L is zero off the diagonal in the row and
+    # the column of such a coordinate
+    lone = [i for i, row in enumerate(G)
+            if not any(row[:i]) and not any(row[i + 1:])]
+    summands = [G[i][i] for i in lone]
+    if len(lone) < gram.n:
+        if lone:
+            rest = [i for i in range(gram.n) if i not in lone]
+            G = [[G[i][k] for k in rest] for i in rest]
+            L = L[rest][:, rest]
+            d = [d[i] for i in rest]
         C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
         try:
             tally = _search(G, L, d, C, qmax, budget, _int64_cap(G, qmax))[0]
         except _OutsideCap:
             tally = _search(G, L, d, C, qmax, budget, None)[0]
-    # the tally counts one of each pair +-x
-    counts = {q: 2 * k for q, k in tally.items()}
-    counts[0] = 1
+        # the tally counts one of each pair +-x
+        counts.update((q, 2 * k) for q, k in tally.items())
+    for g in summands:
+        counts = _times_summand(counts, g, qmax)
     return scale, counts
+
+
+def _times_summand(counts, g, qmax):
+    """The counts {q: A} of L + gZ up to qmax from those of L: the
+    summand has 2 vectors of norm g x^2 for each 1 <= x <= sqrt(qmax/g)."""
+    out = dict(counts)
+    for x in range(1, isqrt(qmax // g) + 1):
+        m = g * x * x
+        for q, k in counts.items():
+            if q + m <= qmax:
+                out[q + m] = out.get(q + m, 0) + 2 * k
+    return out
 
 
 #: Lovasz constant of the reduction `_lll` makes.

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import json
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import theta
 from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
-from .lattice import (DEFAULT_BUDGET, _bareiss, _inverse, catalog,
+from .lattice import (DEFAULT_BUDGET, _adjugate, _bareiss, catalog,
                       theta_coefficients)
 from .qseries import DEFAULT_ORDER, SeriesMatrix
 
@@ -304,13 +304,23 @@ def _gate_level(gram):
     n = gram.n
     if not n or n % 2 or not gram.is_integral() or not gram.is_even():
         return None
-    # N * G^-1 has integral entries and an even diagonal
-    level = lcm(*((x / 2 if i == j else x).denominator
-                  for i, row in enumerate(_inverse(gram))
-                  for j, x in enumerate(row)))
+    level = _level(gram)
     if level in (1, 2, 3) and gram.determinant() == level ** (n // 2):
         return level
     return None
+
+
+def _level(gram):
+    """The least N with N * G^-1 integral with an even diagonal.
+
+    With G^-1 = s A / D (`lattice._adjugate`), entry (i, j) needs N to
+    be a multiple of D / gcd(D, s A_ij) off the diagonal and of 2D /
+    gcd(2D, s A_ii) on it.
+    """
+    s, det, adj = _adjugate(gram)
+    return lcm(*((2 * det // gcd(2 * det, s * x)) if i == j
+                 else det // gcd(det, s * x)
+                 for i, row in enumerate(adj) for j, x in enumerate(row)))
 
 
 def decomposition_from_fixture(row):

@@ -205,15 +205,17 @@ class _Side:
 
     def cutoff(self, a, eps):
         """(R, tail(a, R)) for the smallest integer R <= MAX_CUTOFF with
-        tail(a, R) <= eps, or (None, None)."""
+        tail(a, R) <= eps, or (None, None).
+
+        The bound falls as R grows, so the walk from any start finds the
+        same R.  It starts near the root of P(R) e^(-a*R) = eps, which
+        the bound follows closely: one step of R <- log(P(R)/eps)/a from
+        log(1/eps)/a, the step from R = 0 (P(0) = 1).
+        """
         if not eps > 0:
             return None, None
-        # start near the root of P(R) e^(-a*R) = eps, which the tail
-        # bound follows closely; the bound falls as R grows
-        R = 0.0
-        for _ in range(3):
-            R = min(MAX_CUTOFF, max(0.0, math.log(self.box(R) / eps)) / a)
-        R = int(R)
+        R = min(MAX_CUTOFF, max(0.0, math.log(1.0 / eps)) / a)
+        R = int(min(MAX_CUTOFF, max(0.0, math.log(self.box(R) / eps)) / a))
         t = self.tail(a, R)
         if t <= eps:
             while R:

@@ -215,9 +215,12 @@ def test_ill_conditioned_basis_counts_exactly():
 
 
 def test_budget_enforced():
-    g = catalog("Z12").gram
     with pytest.raises(BoundTooLarge):
-        theta_coefficients(g, 30, budget=1000)
+        theta_coefficients(catalog("E8").gram, 30, budget=1000)
+    # Z^12 is twelve one-dimensional summands, counted without a search
+    series = theta.expand("theta3", 31) ** 12
+    assert theta_coefficients(catalog("Z12").gram, 30, budget=1000) == \
+        [(Fraction(m), series.coeff_at(m)) for m in range(31)]
 
 
 def test_gram_from_generator():
@@ -387,17 +390,75 @@ def test_matches_brute_force(gram, max_norm):
 
 
 def test_search_reaching_cap_falls_back_to_python_ints(monkeypatch):
-    # Z^2 in the basis (1, 0), (K, 1), where x = (-6K, 6) has norm 36;
-    # the reduction searches it as Z^2, where x = (6, 0) has norm 36.
+    # A2 in the basis (1, 0), (K, 1), where x = (-6K, 6) has norm 72;
+    # the reduction searches it as A2, where x = (6, 0) has norm 72.
     # A cap of 3 admits int64, but the search ranges reach it, so the
     # search reruns with Python ints.
     K = 2 ** 29
-    g = GramMatrix([[1, K], [K, K * K + 1]])
-    assert lattice._reduced(g)[1] == [[1, 0], [0, 1]]
-    want = theta_coefficients(catalog("Z2").gram, 36)
-    assert theta_coefficients(g, 36) == want
+    g = GramMatrix([[2, 2 * K + 1], [2 * K + 1, 2 * K * K + 2 * K + 2]])
+    assert lattice._reduced(g)[1] in ([[2, 1], [1, 2]], [[2, -1], [-1, 2]])
+    want = theta_coefficients(catalog("A2").gram, 72)
+    assert theta_coefficients(g, 72) == want
+    caps = []
+    search = lattice._search
+
+    def counting(G, L, d, C, qmax, budget, cap):
+        caps.append(cap)
+        return search(G, L, d, C, qmax, budget, cap)
+
+    monkeypatch.setattr(lattice, "_search", counting)
     monkeypatch.setattr(lattice, "_int64_cap", lambda G, qmax: 3)
-    assert theta_coefficients(g, 36) == want
+    assert theta_coefficients(g, 72) == want
+    assert caps == [3, None]
+
+
+def _split_gram():
+    """Z + A2 + sqrt(3)Z, half-scaled, in the sheared basis U = I plus
+    the subdiagonal and a corner one."""
+    G = [[1, 0, 0, 0], [0, 2, 1, 0], [0, 1, 2, 0], [0, 0, 0, 3]]
+    U = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]]
+    return GramMatrix([[Fraction(sum(U[i][k] * G[k][m] * U[j][m]
+                                     for k in range(4) for m in range(4)), 2)
+                        for j in range(4)] for i in range(4)])
+
+
+def test_orthogonal_summands_are_counted_in_closed_form():
+    g = _split_gram()
+    s, G, L, d = lattice._reduced(g)
+    lone = [i for i, row in enumerate(G)
+            if not any(x for k, x in enumerate(row) if k != i)]
+    assert sorted(G[i][i] for i in lone) == [1, 3]
+    max_norm = Fraction(13, 2)
+    got = theta_coefficients(g, max_norm)
+    assert got == _brute_force(g, max_norm, _box(g, max_norm))
+    half = Fraction(1, 2)
+    series = (theta.expand("theta3", 7, half)
+              * theta.expand("Theta_A2", 7, half)
+              * theta.expand("theta3", 7, 3 * half))
+    assert got == [(m, c) for m, c in series.terms() if m <= max_norm]
+
+
+def test_only_the_rest_of_a_split_gram_is_searched():
+    # the node count is that of the rest, the A2 block, searched alone
+    g = _split_gram()
+    s, G, L, d = lattice._reduced(g)
+    rest = [i for i, row in enumerate(G)
+            if any(x for k, x in enumerate(row) if k != i)]
+    block = GramMatrix([[Fraction(G[i][k], s) for k in rest] for i in rest])
+    assert lattice._reduced(block)[1] == [[G[i][k] for k in rest]
+                                          for i in rest]
+    for max_norm in (2, Fraction(13, 2), 20):
+        nodes = lattice._search(*_search_args(block, max_norm), 10 ** 6,
+                                None)[1]
+        assert nodes > 0
+        theta_coefficients(g, max_norm, budget=nodes)
+        with pytest.raises(BoundTooLarge):
+            theta_coefficients(g, max_norm, budget=nodes - 1)
+    # a Gram that reduces to a diagonal one keeps no node
+    for name in ("C2", "C3", "Z12"):
+        assert theta_coefficients(catalog(name).gram, 30, budget=0)
+        assert theta_coefficients(_dual_gram(catalog(name).gram), 30,
+                                  budget=0)
 
 
 @st.composite
@@ -616,9 +677,9 @@ def test_merging_is_exact_whatever_the_key(monkeypatch, key):
 
 
 def test_merged_weights_add_exactly_past_int64():
-    # Z^n searches merge on Q alone (B = 0): Z^40 has 5e23 vectors of
-    # norm <= 40 and Z^64 4e19 of norm <= 16, so the weights pass
-    # 2^53 and 2^63 and must be added as integers
+    # Z^40 has 5e23 vectors of norm <= 40 and Z^64 4e19 of norm <= 16,
+    # so the counts pass 2^53 and 2^63; theta_coefficients counts Z^n
+    # as one-dimensional summands, without a search
     t3 = theta.expand("theta3", 41)
     for n, norm in ((40, 40), (64, 16)):
         got = theta_coefficients(catalog("Z%d" % n).gram, norm)
@@ -626,8 +687,9 @@ def test_merged_weights_add_exactly_past_int64():
         assert got == [(Fraction(m), series.coeff_at(m))
                        for m in range(norm + 1)]
         assert max(c for _, c in got) > 2 ** 63
-    # the Python-int search agrees, and int64 weights summing past
-    # 2^63 are added exactly
+    # a search of Z^n merges on Q alone (B = 0), so its weights pass
+    # 2^63 too: the Python-int search agrees, and int64 weights summing
+    # past 2^63 are added exactly
     G, L, d, C, qmax = _search_args(catalog("Z40").gram, 40)
     assert lattice._search(G, L, d, C, qmax, 10 ** 6, None) == \
         lattice._search(G, L, d, C, qmax, 10 ** 6,

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modlat.errors import (EmptyBasis, InconsistentSurplus, SingularSystem,
                            UnsupportedLevel)
-from modlat import fixtures, modform
-from modlat.lattice import (CATALOG_NAMES, GramMatrix, catalog,
+from modlat import fixtures, lattice, modform
+from modlat.lattice import (CATALOG_NAMES, GramMatrix, _dual_gram, catalog,
                             theta_coefficients)
 from modlat.modform import (BasisSpec, ThetaDecomposition, build_basis,
                             certified_decomposition,
@@ -237,6 +240,42 @@ def test_gate_conditions_fail_one_at_a_time():
     assert modform._gate_level(e8_d4) is None
     assert [modform._gate_level(catalog(name).gram)
             for name in ("E8", "D4", "A2", "K12", "BW16")] == [1, 2, 3, 3, 2]
+
+
+def _fraction_level(gram):
+    """The least N with N*G^-1 integral with an even diagonal, read from
+    the Fractions of G^-1."""
+    return lcm(*((x / 2 if i == j else x).denominator
+                 for i, row in enumerate(lattice._inverse(gram))
+                 for j, x in enumerate(row)))
+
+
+def test_level_from_the_adjugate_matches_the_fractions():
+    for name in CATALOG_NAMES + ("Z3",):
+        g = catalog(name).gram
+        half = GramMatrix([[x / 2 for x in row] for row in g.entries])
+        for h in (g, _dual_gram(g), half):
+            assert modform._level(h) == _fraction_level(h), name
+
+
+@st.composite
+def _even_grams(draw):
+    n = draw(st.integers(1, 6))
+    entries = [[0] * n for _ in range(n)]
+    for i in range(n):
+        entries[i][i] = 2 * draw(st.integers(1, 6))
+        for j in range(i):
+            entries[i][j] = entries[j][i] = draw(st.integers(-3, 3))
+    try:
+        return GramMatrix(entries)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_even_grams())
+def test_level_of_random_even_grams(gram):
+    assert modform._level(gram) == _fraction_level(gram)
 
 
 def test_certified_decomposition_checks_to_the_sturm_depth(

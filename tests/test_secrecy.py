@@ -108,6 +108,22 @@ def enum_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("name", ["C2", "C3", "A2", "ExampleDim8"])
+@pytest.mark.parametrize("dual", [False, True])
+def test_cutoff_is_the_smallest_certifying_r(name, dual):
+    # whatever the walk starts from, it ends at the first R of a scan
+    side = secrecy._Side(catalog(name).gram, dual)
+    for y in (0.05, 0.3, 0.7, 1.0, 1.4, 3.0, 20.0):
+        a = side.rate(y)
+        for eps in (1e-6, 1e-12, 1e-15, 1e-300):
+            want = next((R for R in range(secrecy.MAX_CUTOFF + 1)
+                         if side.tail(a, R) <= eps), None)
+            R, tail = side.cutoff(a, eps)
+            assert R == want, (y, eps)
+            if R is not None:
+                assert tail == side.tail(a, R)
+
+
 def test_tail_bound_not_met(enum_calls):
     # far below the symmetry point the dual side certifies at once
     g = catalog("D4").gram
