@@ -366,31 +366,32 @@ def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
         raise ValueError("max_norm must be non-negative")
     scale, G, L, d = _reduced(gram)
     qmax = floor(max_norm * scale)
-    counts = {0: 1}
+    n = gram.n
+    tally, summands = {}, []
     # every nonzero vector has a positive integer norm under G''
-    if not (gram.n and qmax):
-        return scale, counts
-    # the coordinates whose row of G'' is zero off the diagonal span
-    # one-dimensional orthogonal summands; the others are searched on
-    # their sub-blocks of G'', L and d, which hold the LDL^T factors of
-    # their block of G'', as L is zero off the diagonal in the row and
-    # the column of such a coordinate
-    lone = [i for i, row in enumerate(G)
-            if not any(row[:i]) and not any(row[i + 1:])]
-    summands = [G[i][i] for i in lone]
-    if len(lone) < gram.n:
-        if lone:
-            rest = [i for i in range(gram.n) if i not in lone]
-            G = [[G[i][k] for k in rest] for i in rest]
-            L = L[rest][:, rest]
-            d = [d[i] for i in rest]
-        C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
-        try:
-            tally = _search(G, L, d, C, qmax, budget, _int64_cap(G, qmax))[0]
-        except _OutsideCap:
-            tally = _search(G, L, d, C, qmax, budget, None)[0]
-        # the tally counts one of each pair +-x
-        counts.update((q, 2 * k) for q, k in tally.items())
+    if n and qmax:
+        # a row of G'' that is zero off the diagonal spans a
+        # one-dimensional orthogonal summand; the other coordinates are
+        # searched on their sub-blocks of G'', L and d, which hold the
+        # LDL^T factors of their block of G'', as L is zero off the
+        # diagonal in the row and the column of such a coordinate
+        lone = [i for i, row in enumerate(G) if row.count(0) == n - 1]
+        summands = [G[i][i] for i in lone]
+        if len(lone) < n:
+            if lone:
+                rest = [i for i in range(n) if i not in lone]
+                G = [[G[i][k] for k in rest] for i in rest]
+                L = L[rest][:, rest]
+                d = [d[i] for i in rest]
+            C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
+            try:
+                tally = _search(G, L, d, C, qmax, budget,
+                                _int64_cap(G, qmax))[0]
+            except _OutsideCap:
+                tally = _search(G, L, d, C, qmax, budget, None)[0]
+    # the tally counts one of each pair +-x
+    counts = {q: 2 * k for q, k in tally.items()}
+    counts[0] = 1
     for g in summands:
         counts = _times_summand(counts, g, qmax)
     return scale, counts
