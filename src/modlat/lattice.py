@@ -55,6 +55,7 @@ from operator import mul, sub, truediv
 
 from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
                      SingularSystem, UnknownLattice)
+from .qseries import _rational
 
 
 class GramMatrix:
@@ -69,15 +70,14 @@ class GramMatrix:
     __slots__ = ("entries", "n", "ldl", "_hash", "_reduced", "_dual")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                           for x in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
         s, G = _scale_to_integers(rows)
+        if any(G[i][j] != G[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
         try:
             U, exchanged = _bareiss(G)
         except SingularSystem:
@@ -132,7 +132,7 @@ class GramMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls([[Fraction(x) for x in row] for row in d["entries"]])
+        return cls([[_rational(x) for x in row] for row in d["entries"]])
 
     def to_json(self):
         return json.dumps(self.to_json_dict())
@@ -147,7 +147,7 @@ class GramMatrix:
 
     @classmethod
     def from_text(cls, text):
-        rows = [[Fraction(x) for x in ln.split()]
+        rows = [[_rational(x) for x in ln.split()]
                 for ln in text.splitlines() if ln.strip()]
         return cls(rows)
 
@@ -196,8 +196,9 @@ def _ldl(U, s, div):
     s*G: L_ik = div(U_ki, U_kk) and d_k = div(U_kk, s U_(k-1)(k-1))."""
     n = len(U)
     minors = [1] + [u[k] for k, u in enumerate(U)]
+    zero, one = div(0, 1), div(1, 1)
     L = tuple(tuple(div(U[k][i], minors[k + 1]) if k < i
-                    else div(int(k == i), 1) for k in range(n))
+                    else one if k == i else zero for k in range(n))
               for i in range(n))
     return L, tuple(div(minors[k + 1], s * minors[k]) for k in range(n))
 

@@ -28,7 +28,7 @@ from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
 from .lattice import (DEFAULT_BUDGET, _adjugate, _bareiss, catalog,
                       theta_coefficients)
-from .qseries import DEFAULT_ORDER, SeriesMatrix
+from .qseries import DEFAULT_ORDER, SeriesMatrix, _rational
 
 _K0 = {1: 4, 2: 2, 3: 1}
 _K1 = {1: 12, 2: 8, 3: 6}
@@ -102,7 +102,7 @@ class ThetaDecomposition:
         basis = build_basis(d["ell"], d["n"], d["kind"])
         if [list(t) for t in basis.terms] != d["terms"]:
             raise ValueError("term list does not match basis shape")
-        return cls(basis, tuple(Fraction(c) for c in d["coeffs"]))
+        return cls(basis, tuple(_rational(c) for c in d["coeffs"]))
 
     def to_json(self):
         return json.dumps(self.to_json_dict())

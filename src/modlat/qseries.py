@@ -18,6 +18,13 @@ positive.  Every form shipped here is integral up to a scale of 1/2,
 1/4 or 1/12, and the stride keeps sparse ones small: eta(tau) =
 q^(1/12)(1 - q^2 - q^4 + q^10 + ...) holds one integer per 24 twelfths.
 
+The constructors of the exact paths build these fields from integers:
+a primitive of `theta` writes its integer vector directly, `one` and
+`zero` are formed without a coefficient dict, the slot counts below a
+truncation (`_count`) are integer divisions, and the serialised
+rationals are read by `_rational`, which bypasses the regular
+expression of Fraction(str) for the integers and n/d that str writes.
+
 Products go by Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): each
 integer vector is packed into one Python integer, slot i holding entry
@@ -46,10 +53,23 @@ DEFAULT_ORDER = Fraction(16)
 _FIELDS = ("den", "start", "step", "ints", "scale", "trunc")
 
 
-def _count(start, step, limit):
-    """Number of i >= 0 with start + step*i < limit."""
-    limit = Fraction(limit) - start
-    return max(-(-limit.numerator // (limit.denominator * step)), 0)
+def _count(start, step, trunc, den=1):
+    """Number of i >= 0 with (start + step*i)/den < trunc, in integers."""
+    n, d = trunc.numerator, trunc.denominator
+    return max(-((start * d - n * den) // (step * d)), 0)
+
+
+def _rational(s):
+    """Fraction(s), read without Fraction's regular expression when s is
+    an integer or n/d in ASCII digits, as str writes a Fraction."""
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+                not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else \
+                Fraction(int(num))
+    return Fraction(s)
 
 
 def _spread(ints, f):
@@ -131,11 +151,14 @@ class QSeries:
             raise ValueError("denominator must be positive")
         clean = {}
         for n, c in coeffs.items():
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                c = Fraction(c)
             if c:
                 clean[int(n)] = c
+        # n/den >= trunc, in integers
+        top, bottom = trunc.numerator * den, trunc.denominator
         for n in clean:
-            if Fraction(n, den) >= trunc:
+            if n * bottom >= top:
                 raise ValueError("stored exponent %s/%s >= truncation %s"
                                  % (n, den, trunc))
         start = min(clean, default=0)
@@ -206,11 +229,14 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc=DEFAULT_ORDER):
-        return cls(1, {}, trunc)
+        return cls._new(1, 0, 1, (), Fraction(1), Fraction(trunc))
 
     @classmethod
     def one(cls, trunc=DEFAULT_ORDER):
-        return cls(1, {0: 1}, trunc)
+        trunc = Fraction(trunc)
+        if trunc.numerator <= 0:
+            raise ValueError("stored exponent 0/1 >= truncation %s" % trunc)
+        return cls._new(1, 0, 1, (1,), Fraction(1), trunc)
 
     @classmethod
     def from_terms(cls, terms, trunc=DEFAULT_ORDER):
@@ -233,8 +259,10 @@ class QSeries:
     @property
     def coeffs(self):
         """The nonzero terms, {n: coefficient at q^(n/den)}, n ascending."""
-        s, start, step = self.scale, self.start, self.step
-        return {start + step * i: s * c for i, c in enumerate(self.ints) if c}
+        a, b = self.scale.numerator, self.scale.denominator
+        start, step = self.start, self.step
+        return {start + step * i: Fraction(a * c, b)
+                for i, c in enumerate(self.ints) if c}
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""
@@ -315,7 +343,7 @@ class QSeries:
         g = gcd(self._stride(d), other._stride(d)) or 1
         sa, a = self._grid(d, g)
         sb, b = (sa, a) if other is self else other._grid(d, g)
-        m = _count(sa + sb, g, t * d)  # product slots below t
+        m = _count(sa + sb, g, t, d)  # product slots below t
         if not m:
             return QSeries.zero(t)
         return QSeries._new(d, sa + sb, g, _product(a, b, m),
@@ -338,7 +366,7 @@ class QSeries:
         trunc = Fraction(trunc)
         if trunc > self.trunc:
             raise ValueError("truncation %s beyond %s" % (trunc, self.trunc))
-        k = _count(self.start, self.step, trunc * self.den)
+        k = _count(self.start, self.step, trunc, self.den)
         return QSeries._new(self.den, self.start, self.step, self.ints[:k],
                             self.scale, trunc)
 
@@ -365,7 +393,7 @@ class QSeries:
         if not self.ints:
             raise NotInvertible("cannot invert the zero series")
         d, n0, step = self.den, self.start, self.step
-        m = _count(n0, step, self.trunc * d)  # slots of the unit q^{-e0}*self
+        m = _count(n0, step, self.trunc, d)  # slots of the unit q^{-e0}*self
         u = list(self.ints[:m])
         c = u[0]
         scale = 1 / self.scale
@@ -396,8 +424,8 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["den"], {int(n): Fraction(c) for n, c in d["terms"]},
-                   Fraction(d["trunc"]))
+        return cls(d["den"], {int(n): _rational(c) for n, c in d["terms"]},
+                   _rational(d["trunc"]))
 
     def to_json(self):
         return json.dumps(self.to_json_dict())
@@ -422,8 +450,8 @@ class QSeries:
         coeffs = {}
         for ln in lines[1:]:
             n, c = ln.split()
-            coeffs[int(n)] = Fraction(c)
-        return cls(int(fields["den"]), coeffs, Fraction(fields["trunc"]))
+            coeffs[int(n)] = _rational(c)
+        return cls(int(fields["den"]), coeffs, _rational(fields["trunc"]))
 
     # -- display ------------------------------------------------------
 
@@ -482,7 +510,7 @@ class SeriesMatrix(NamedTuple):
         start = min(starts, default=0)
         g = gcd(*(s._stride(d) for s in series),
                 *(st - start for st in starts)) or 1
-        rows = _count(start, g, trunc * d)
+        rows = _count(start, g, trunc, d)
         columns = []
         for s in series:
             col = []
@@ -517,7 +545,7 @@ class SeriesMatrix(NamedTuple):
         w = [(s.numerator * c.numerator, s.denominator * c.denominator)
              for c, s in zip(weights, self.scales)]
         common = lcm(*(d for _, d in w))
-        rows = _count(self.start, self.step, trunc * self.den)
+        rows = _count(self.start, self.step, trunc, self.den)
         out = [0] * rows
         for (n, d), col in zip(w, self.columns):
             if n:

@@ -10,8 +10,12 @@ first term every |c_i| is at most `bound` and every step of e at least
 absolute value to at most bound * q^e * (r + r^2 + ...), r = q^gap,
 which is at most bound * q^e / (gap*x) as 1/r - 1 >= gap*x.
 
-Calling a primitive (jacobi_theta2/3/4, eta) reads it exactly, up to
-the first term at or past the order, for `expand`.
+Calling a primitive (jacobi_theta2/3/4, eta) reads it exactly, for
+`expand`: at argument scale*tau the term of e sits at the exponent
+scale*(lead + e), so the terms below the order are written as one dense
+integer vector, slot e, on that grid, with no Fraction per term, and
+the series is formed from it directly.  A scale <= 0 raises ValueError,
+as that grid never reaches the order.
 `Primitive.numeric` reads it in floats at tau = i*scale*y, x =
 pi*scale*y, for `secrecy.form_numeric`: it sums c_i e^(-x*e_i) until
 that tail bound is at most 2^-55 |s| (0 once exp underflows), below
@@ -35,7 +39,7 @@ from functools import lru_cache
 from itertools import chain, count, islice
 
 from .errors import TailBoundNotMet
-from .qseries import DEFAULT_ORDER, QSeries, first_mismatch
+from .qseries import DEFAULT_ORDER, QSeries, _count, first_mismatch
 
 #: Most terms a float reading sums, enough down to scale*y of about 1e-6.
 MAX_TERMS = 2 ** 12
@@ -54,12 +58,17 @@ class Primitive:
     def __call__(self, order=DEFAULT_ORDER, scale=Fraction(1)):
         """p(scale*tau) as an exact q-expansion below order."""
         order, scale = Fraction(order), Fraction(scale)
-        terms = []
+        if scale <= 0:
+            raise ValueError("argument scale must be positive")
+        # c_e sits at scale*(lead + e) = (start + step*e)/den, slot e
+        p, den = scale.numerator, scale.denominator * self._den
+        start, step = p * self._num, p * self._den
+        ints = [0] * _count(start, step, order, den)
         for e, c in self.terms():
-            x = scale * (self.lead + e)
-            if x >= order:
-                return QSeries.from_terms(terms, order)
-            terms.append((x, c))
+            if e >= len(ints):
+                break
+            ints[e] += c
+        return QSeries._new(den, start, step, ints, Fraction(1), order)
 
     def numeric(self, y, scale=1.0):
         """p at tau = i*scale*y in floats, truncated below half an ulp."""

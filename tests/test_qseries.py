@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlat.errors import NotInvertible, QueryBeyondTruncation
-from modlat.qseries import QSeries, first_mismatch
+from modlat.qseries import QSeries, _rational, first_mismatch
 from modlat.theta import eta, jacobi_theta3, jacobi_theta4
 
 
@@ -266,3 +266,33 @@ def test_pentagonal_eta_is_the_product(scale, order):
             [(0, 1), (2 * m * scale, -1)], order))
         m += 1
     assert eta(order, scale) == prod
+
+
+def _reading(read, s):
+    """read(s), or the type of the exception it raises."""
+    try:
+        return read(s)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+
+
+@pytest.mark.parametrize("s", [
+    "0", "-0", "7", "-12", "007", "12/8", "-3/4", "-0/5", "007/010",
+    "3/-4", "3/+4", "1.5", "1e2", " 7 ", "\t5\n", "+1/2", "+7", "1_0",
+    "1_0/2_0", "1/0", "0/0", "", "-", "/2", "3/", "1/2/3", "1 /2", "1/ 2",
+    "--1", "-+1", "nan", "inf", "0x10", "1.5/2", "\u0663", "\u00b2",
+    "\u0663/\u0664", "1/\u00b2"])
+def test_rational_reads_as_fraction(s):
+    assert _reading(_rational, s) == _reading(Fraction, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789-+/._e ", max_size=8))
+def test_rational_reads_random_strings_as_fraction(s):
+    assert _reading(_rational, s) == _reading(Fraction, s)
+
+
+@pytest.mark.parametrize("trunc", [0, -1, Fraction(-1, 2)])
+def test_one_refuses_non_positive_truncation(trunc):
+    with pytest.raises(ValueError):
+        QSeries.one(trunc)

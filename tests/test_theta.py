@@ -1,10 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import modlat
 from modlat.errors import TailBoundNotMet
 from modlat.qseries import QSeries, first_mismatch
+from modlat.qseries import _FIELDS
 from modlat.theta import (FORM_NAMES, eta, eta_quotient, expand,
                           jacobi_theta2, jacobi_theta3, jacobi_theta4,
                           split_residue_theta, verify_theta_eta_identities)
@@ -320,3 +326,48 @@ def test_float_primitive_needing_too_many_terms_raises():
 def test_float_primitive_rejects_non_positive_points(y):
     with pytest.raises(ValueError):
         jacobi_theta4.numeric(y)
+
+
+def _from_terms_reference(prim, order, scale):
+    """prim(order, scale) read term by term through QSeries.from_terms."""
+    terms = []
+    for e, c in prim.terms():
+        x = scale * (prim.lead + e)
+        if x >= order:
+            return QSeries.from_terms(terms, order)
+        terms.append((x, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([jacobi_theta2, jacobi_theta3, jacobi_theta4, eta]),
+       st.fractions(min_value=0, max_value=200, max_denominator=12)
+       .filter(lambda x: x > 0),
+       st.integers(1, 12), st.integers(1, 12))
+def test_primitive_equals_term_by_term_reading(prim, order, p, q):
+    scale = Fraction(p, q)
+    got = prim(order, scale)
+    want = _from_terms_reference(prim, order, scale)
+    assert [getattr(got, f) for f in _FIELDS] == \
+        [getattr(want, f) for f in _FIELDS]
+
+
+def test_non_positive_scale_raises_at_once():
+    # at a scale <= 0, scale*(lead + e) never reaches the order, so a
+    # reading that walks the terms up to it would not end: run the calls
+    # where a timeout stops them
+    code = """
+from modlat.theta import eta, jacobi_theta2, jacobi_theta3, split_residue_theta
+for call in (lambda: jacobi_theta3(4, 0), lambda: jacobi_theta3(4, -1),
+             lambda: jacobi_theta2(4, 0), lambda: eta(4, -0.5),
+             lambda: split_residue_theta(1, 0, 4)):
+    try:
+        call()
+    except ValueError:
+        print("ValueError")
+"""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(modlat.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 5
