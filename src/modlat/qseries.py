@@ -53,7 +53,7 @@ DEFAULT_ORDER = Fraction(16)
 _FIELDS = ("den", "start", "step", "ints", "scale", "trunc")
 
 
-def _count(start, step, trunc, den=1):
+def _count(start, step, trunc, den):
     """Number of i >= 0 with (start + step*i)/den < trunc, in integers."""
     n, d = trunc.numerator, trunc.denominator
     return max(-((start * d - n * den) // (step * d)), 0)

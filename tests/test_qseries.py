@@ -272,7 +272,7 @@ def _reading(read, s):
     """read(s), or the type of the exception it raises."""
     try:
         return read(s)
-    except Exception as exc:  # noqa: BLE001 - compared by type
+    except Exception as exc:
         return type(exc)
 
 

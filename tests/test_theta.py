@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import modlat
 from modlat.errors import TailBoundNotMet
-from modlat.qseries import QSeries, first_mismatch
-from modlat.qseries import _FIELDS
+from modlat.qseries import _FIELDS, QSeries, first_mismatch
 from modlat.theta import (FORM_NAMES, eta, eta_quotient, expand,
                           jacobi_theta2, jacobi_theta3, jacobi_theta4,
                           split_residue_theta, verify_theta_eta_identities)
