@@ -41,7 +41,10 @@ enumeration, so `import modlat` and the paths that never enumerate
 Every exact linear solve in the package is `_bareiss`, one fraction-free
 elimination on a matrix scaled to integers: a Gram's positive-definiteness
 check and LDL^T factors, those of its reduced basis, its inverse (the
-dual lattice and the level) and the decomposition coefficients.
+dual lattice and the level) and the decomposition coefficients.  The
+check and the factors read only its pivot rows, so a square matrix is
+eliminated forward alone; the inverse and the coefficients are solved
+for, Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -160,19 +163,25 @@ def _scale_to_integers(rows):
 
 
 def _bareiss(rows):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+    """Fraction-free elimination (Bareiss 1968) of integer rows, in place.
 
-    Reduces integer rows [A | B], A square, to [D * I | D * A^-1 B] with
-    D = +-det A, dividing each update exactly by the previous pivot.  A
-    zero pivot is exchanged for the first nonzero one below it.  Returns
-    the pivot rows as first used and whether a row was exchanged; with
-    no exchange the k-th pivot is the k-th leading principal minor of A.
-    Raises SingularSystem if A is singular.
+    Rows [A | B], A square, are reduced Gauss-Jordan to
+    [D * I | D * A^-1 B] with D = +-det A, dividing each update exactly
+    by the previous pivot.  A square A alone, with nothing to solve for,
+    is only reduced forward, to upper triangular form: a row above a
+    pivot is updated only after it has served as a pivot, so the pivot
+    rows are those of the Gauss-Jordan run.  A zero pivot is exchanged
+    for the first nonzero one below it.  Returns the pivot rows as first
+    used and whether a row was exchanged; with no exchange the k-th
+    pivot is the k-th leading principal minor of A.  Raises
+    SingularSystem if A is singular.
     """
     n = len(rows)
     pivots = []
     exchanged = False
     prev = 1
+    # the rows above a pivot need clearing only for the columns past A
+    jordan = n and len(rows[0]) > n
     for k in range(n):
         p = next((i for i in range(k, n) if rows[i][k]), None)
         if p is None:
@@ -181,7 +190,7 @@ def _bareiss(rows):
             rows[k], rows[p] = rows[p], rows[k]
             exchanged = True
         pivot = rows[k]
-        for i in range(n):
+        for i in range(0 if jordan else k + 1, n):
             if i != k:
                 f = rows[i][k]
                 rows[i] = [(pivot[k] * x - f * y) // prev

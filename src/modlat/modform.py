@@ -1,12 +1,14 @@
 """Basis construction and exact coefficient solving for theta-series
 decompositions of 2- and 3-modular lattices.
 
-Two basis shapes are supported.  The "even" shape spans weight-k forms
-by monomials G1^lambda * G2^mu with k0*lambda + k1*mu = k, where the
-generator pair (G1, G2) per level is (Theta_E8, Delta_24),
-(Theta_D4, Delta_16), (Theta_A2, Delta_12) for level 1, 2, 3.  The
-"general" shape (level 2 only) uses f1^(k-2i) * Delta_4^i for
-i = 0..floor(k/2), which covers the odd lattices built from codes.
+Each basis shape is one row of `_SHAPES`, keyed by (kind, ell): the
+generators (G1, G2), their dimensions (n0, n1), the step between the
+exponents of the series and the index [SL_2(Z) : Gamma_0(ell)].  The
+monomials of dimension n are G1^lambda * G2^mu with n0*lambda + n1*mu =
+n, ordered by mu.  The "even" rows (step 2) serve even lattices of level
+1, 2 and 3, the "general" row (level 2, step 1) the odd lattices built
+from codes.  The units are dimensions, twice the weights, so that a
+generator of half-integral weight, such as theta_3, has an integer row.
 
 `certified_decomposition` gives a Gram the closed form with a proof:
 an even Gram of level ell and determinant ell^(n/2) has its theta series
@@ -16,6 +18,7 @@ Sturm bound says how many exact vector counts fix it there.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,19 +33,14 @@ from .lattice import (DEFAULT_BUDGET, _adjugate, _bareiss, catalog,
                       theta_coefficients)
 from .qseries import DEFAULT_ORDER, SeriesMatrix, _rational
 
-_K0 = {1: 4, 2: 2, 3: 1}
-_K1 = {1: 12, 2: 8, 3: 6}
+_Shape = namedtuple("_Shape", "generators dims step index")
 
-_GENERATORS = {
-    ("even", 1): ("Theta_E8", "Delta_24"),
-    ("even", 2): ("Theta_D4", "Delta_16"),
-    ("even", 3): ("Theta_A2", "Delta_12"),
-    ("general", 2): ("f1_l2", "Delta_4"),
+_SHAPES = {
+    ("even", 1): _Shape(("Theta_E8", "Delta_24"), (8, 24), 2, 1),
+    ("even", 2): _Shape(("Theta_D4", "Delta_16"), (4, 16), 2, 3),
+    ("even", 3): _Shape(("Theta_A2", "Delta_12"), (2, 12), 2, 4),
+    ("general", 2): _Shape(("f1_l2", "Delta_4"), (2, 4), 1, 3),
 }
-
-#: Divisor ord_1(f1) per level: sum of divisors of ell over 8 (odd ell)
-#: or over 6 (even ell).  Only level 2 is populated for the general shape.
-_ORD1 = {2: Fraction(1, 2)}
 
 #: Default surplus depth of `solve_coefficients`: a spot check, no proof.
 _SPOT_CHECK = 8
@@ -57,7 +55,12 @@ class BasisSpec:
 
     @property
     def generators(self):
-        return _GENERATORS[(self.kind, self.ell)]
+        return _SHAPES[self.kind, self.ell].generators
+
+    @property
+    def step(self):
+        """The step between the exponents of the series."""
+        return _SHAPES[self.kind, self.ell].step
 
 
 @dataclass(frozen=True)
@@ -116,28 +119,19 @@ def build_basis(ell, n, kind="even"):
     """Ordered monomial basis for dimension n at the given level."""
     if kind not in ("even", "general"):
         raise ValueError("kind must be 'even' or 'general'")
-    if ell not in (1, 2, 3):
+    if ell not in [level for _, level in _SHAPES]:
         raise UnsupportedLevel("level %r not supported" % (ell,))
     if n <= 0 or n % 2:
         raise ValueError("dimension must be a positive even integer")
-    k = n // 2
-    if kind == "even":
-        k0, k1 = _K0[ell], _K1[ell]
-        terms = []
-        mu = 0
-        while k1 * mu <= k:
-            rem = k - k1 * mu
-            if rem % k0 == 0:
-                terms.append((rem // k0, mu))
-            mu += 1
-        if not terms:
-            raise EmptyBasis("no monomial of weight %d at level %d" % (k, ell))
-        return BasisSpec(ell, "even", n, tuple(terms))
-    if ell != 2:
+    if (kind, ell) not in _SHAPES:
         raise UnsupportedLevel("general shape is only shipped for level 2")
-    imax = int(k * _ORD1[ell])
-    terms = tuple((k - 2 * i, i) for i in range(imax + 1))
-    return BasisSpec(ell, "general", n, terms)
+    n0, n1 = _SHAPES[kind, ell].dims
+    terms = tuple(((n - n1 * mu) // n0, mu) for mu in range(n // n1 + 1)
+                  if (n - n1 * mu) % n0 == 0)
+    if not terms:
+        raise EmptyBasis("no monomial of weight %d at level %d"
+                         % (n // 2, ell))
+    return BasisSpec(ell, kind, n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +155,7 @@ def expand_decomposition(d: ThetaDecomposition, order=DEFAULT_ORDER):
 
 
 def _matching_exponents(basis, count):
-    step = 2 if basis.kind == "even" else 1
-    return [step * i for i in range(count)]
+    return [basis.step * i for i in range(count)]
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +220,7 @@ def gram_decomposition(gram, basis: BasisSpec, budget=DEFAULT_BUDGET):
     n, ell = gram.n, basis.ell
     check = _SPOT_CHECK
     if basis.kind == "even" and _gate_level(gram) == ell:
-        check = 2 * (n // 24 if ell == 1 else n * (ell + 1) // 24)
+        check = 2 * (n * _SHAPES[basis.kind, ell].index // 24)
     depth = max(_matching_exponents(basis, len(basis.terms))[-1], check)
     return solve_coefficients(
         basis, theta_coefficients(gram, depth, budget), depth)
@@ -266,12 +259,13 @@ def certified_decomposition(gram, budget=DEFAULT_BUDGET):
     The Sturm depth.  A form in M_k(Gamma_0(ell), chi) whose coefficients
     at e^(2 pi i tau m) vanish for m <= k [SL_2(Z) : Gamma_0(ell)] / 12 is
     zero (Sturm, "On the congruence of modular forms", 1987; for a
-    character of order o apply it to the o-th power).  The index is 1 for
-    ell = 1 and ell + 1 for ell = 2, 3.  In this package's nome q =
-    e^(pi i tau) the coefficient at e^(2 pi i tau m) of an even lattice
-    is the count A_2m, so two such forms are equal once their counts
-    agree up to norm 2*floor(n*(ell+1)/24) (ell = 2, 3) or 2*floor(n/24)
-    (ell = 1): norm 4 for K12 and BW16, norm 0 for E8, D4 and A2.
+    character of order o apply it to the o-th power).  The index, the
+    `index` of the `_SHAPES` row, is 1 for ell = 1 and ell + 1 for
+    ell = 2, 3.  In this package's nome q = e^(pi i tau) the coefficient
+    at e^(2 pi i tau m) of an even lattice is the count A_2m, so two such
+    forms are equal once their counts agree up to norm
+    2*floor(n*index/24): norm 4 for K12 and BW16, norm 0 for E8, D4 and
+    A2.
 
     `gram_decomposition` checks every count up to that
     depth, so Theta_L minus the decomposition vanishes to the Sturm
@@ -300,12 +294,14 @@ def _certificate(gram, budget):
 
 @lru_cache(maxsize=256)
 def _gate_level(gram):
-    """ell if the Gram is even of level ell in {1, 2, 3} and det ell^(n/2)."""
+    """ell if the Gram is even of the level ell of an even `_SHAPES` row
+    and det ell^(n/2)."""
     n = gram.n
     if not n or n % 2 or not gram.is_integral() or not gram.is_even():
         return None
     level = _level(gram)
-    if level in (1, 2, 3) and gram.determinant() == level ** (n // 2):
+    if (("even", level) in _SHAPES
+            and gram.determinant() == level ** (n // 2)):
         return level
     return None
 
@@ -329,36 +325,39 @@ def decomposition_from_fixture(row):
     return ThetaDecomposition(basis, tuple(Fraction(c) for c in row.coeffs))
 
 
-def verify_table(which):
-    """Structural checks of a fixture table's decomposition polynomials.
+def check_table_row(row):
+    """A fixtures.TableRow's decomposition and the failures of its checks
+    up to q^9: constant term 1, non-negative integer coefficients, every
+    exponent a multiple of the basis step, and agreement with
+    `gram_decomposition` where a catalog Gram is shipped."""
+    problems = []
+    d = decomposition_from_fixture(row)
+    s = expand_decomposition(d, 10)
+    if s.coeff_at(0) != 1:
+        problems.append("constant term %s != 1" % s.coeff_at(0))
+    for e, c in s.terms():
+        if c.denominator != 1 or c < 0:
+            problems.append("coefficient %s at q^%s not a count" % (c, e))
+        if e % d.basis.step:
+            problems.append("odd-exponent term q^%s in even lattice" % e)
+    if row.catalog_name:
+        try:
+            found = gram_decomposition(catalog(row.catalog_name).gram,
+                                       d.basis)
+            if found != d:
+                problems.append("catalog Gram gives %s" % found.pretty())
+        except InconsistentSurplus as exc:
+            problems.append("catalog Gram: %s" % exc)
+    return d, problems
 
-    For each row, up to q^9: constant term 1, non-negative integer
-    coefficients, parity (even rows have no odd-exponent terms), and
-    agreement with `gram_decomposition` where a catalog Gram is shipped.
-    Returns a list of (row name, ok, list of failure messages).
-    """
+
+def verify_table(which):
+    """`check_table_row` of each row of fixture table 1 or 2, as a list of
+    (row name, ok, list of failure messages)."""
     from . import fixtures
 
-    table = {1: fixtures.TABLE1, 2: fixtures.TABLE2}[which]
     report = []
-    for row in table:
-        problems = []
-        d = decomposition_from_fixture(row)
-        s = expand_decomposition(d, 10)
-        if s.coeff_at(0) != 1:
-            problems.append("constant term %s != 1" % s.coeff_at(0))
-        for e, c in s.terms():
-            if c.denominator != 1 or c < 0:
-                problems.append("coefficient %s at q^%s not a count" % (c, e))
-            if row.kind == "even" and e.numerator % 2:
-                problems.append("odd-exponent term q^%s in even lattice" % e)
-        if row.catalog_name:
-            try:
-                found = gram_decomposition(catalog(row.catalog_name).gram,
-                                           d.basis)
-                if found != d:
-                    problems.append("catalog Gram gives %s" % found.pretty())
-            except InconsistentSurplus as exc:
-                problems.append("catalog Gram: %s" % exc)
+    for row in {1: fixtures.TABLE1, 2: fixtures.TABLE2}[which]:
+        problems = check_table_row(row)[1]
         report.append((row.name, not problems, problems))
     return report

@@ -231,6 +231,16 @@ def test_tables_reduce_each_catalog_gram_once(capsys, monkeypatch):
     assert reduced.count(lattice.EXAMPLE_DIM8) == 1
 
 
+def test_tables_build_each_row_once(capsys, monkeypatch):
+    built = []
+    decompose = modform.decomposition_from_fixture
+    monkeypatch.setattr(modform, "decomposition_from_fixture",
+                        lambda row: built.append(row) or decompose(row))
+    assert main(["tables", "--which", "2"]) == 0
+    capsys.readouterr()
+    assert len(built) == 10
+
+
 def test_curve_far_above_symmetry_point_terminates():
     # theta2(6*i*y) underflows to 0 here; its summation loop must stop
     env = dict(os.environ,

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import floor, isqrt, prod
@@ -130,6 +131,19 @@ def test_exact_factors_catalog(name):
     g = catalog(name).gram
     _check_exact_factors(g)
     _check_exact_factors(_half(g))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("Z3",))
+def test_forward_elimination_keeps_the_pivot_rows(name):
+    # a square matrix is eliminated forward only; its pivot rows are
+    # those of the Gauss-Jordan run of [sG | I]
+    _, G = lattice._scale_to_integers(catalog(name).gram.entries)
+    n = len(G)
+    square, exchanged = lattice._bareiss([row[:] for row in G])
+    solved, solved_exchanged = lattice._bareiss(
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)])
+    assert square == [row[:n] for row in solved]
+    assert exchanged == solved_exchanged
 
 
 @st.composite
@@ -297,6 +311,14 @@ def test_exact_norms_with_large_denominators():
     assert theta_coefficients(g, 3) == [
         (Fraction(0), 1), (Fraction(1), 4), (2 - 2 * eps, 2),
         (2 + 2 * eps, 2)]
+    # scale 2^40 with coprime summands 2^40 and 2^40 + 1: the counts stay
+    # sparse, where a product on the 1/2^40 grid would need 31 * 2^40 slots
+    b = 1 + Fraction(1, 2 ** 40)
+    g = GramMatrix([[1, 0], [0, b]])
+    norms = Counter(x * x + b * y * y
+                    for x in range(-5, 6) for y in range(-5, 6))
+    assert theta_coefficients(g, 30) == sorted(
+        (m, c) for m, c in norms.items() if m <= 30)
 
 
 def _half(gram):
