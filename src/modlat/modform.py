@@ -177,9 +177,9 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
     """Recover decomposition coefficients from leading theta coefficients.
 
     `known` is a list of (norm, count) pairs.  The first len(terms)
-    matching exponents (0, 2, 4, ... for the even shape; 0, 1, 2, ...
-    for the general one) feed an exact linear system; any further known
-    coefficients up to `surplus_depth` are checked against the solution.
+    matching exponents, the multiples of the basis step, feed an exact
+    linear system; any further known coefficients up to `surplus_depth`
+    are checked against the solution.
     The system's inverse is computed once per basis, so a solve is one
     matrix-vector product and the check one more.
     """
