@@ -162,7 +162,7 @@ def cmd_tables(args):
     if args.which in (1, 2):
         table = fixtures.TABLE1 if args.which == 1 else fixtures.TABLE2
         for row in table:
-            d, problems = modform.check_table_row(row)
+            d, problems = modform.check_table_row(row, args.budget)
             chi = secrecy.weak_secrecy_gain(d, row.ell, eps=args.eps)
             ok = not problems and abs(chi - row.chi_w) < tol
             failed += not ok

@@ -53,7 +53,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isqrt, lcm, sqrt
+from math import floor, isqrt, lcm
 from operator import mul, sub, truediv
 
 from .errors import (BoundTooLarge, ModlatError, NotIntegral, RankDeficient,
@@ -212,24 +212,24 @@ def _ldl(U, s, div):
     return L, tuple(div(minors[k + 1], s * minors[k]) for k in range(n))
 
 
-def _adjugate(gram):
-    """(s, D, A) with s the lcm of the Gram's denominators, D = det(sG)
-    and A = adj(sG) = D (sG)^-1, as integer rows.
+def _adjugate(M):
+    """(D, A) for square integer rows M: D = +-det M and A = D M^-1, as
+    integer rows.  With no row exchanged, as for a positive-definite M,
+    D = det M and A = adj M.
 
-    Bareiss elimination of [s*G | I] ends at [D * I | A]; sG is positive
-    definite, so no row is exchanged and D > 0.
+    Bareiss elimination of [M | I] ends at [D * I | A].
     """
-    n = gram.n
-    s, G = _scale_to_integers(gram.entries)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(G)]
+    n = len(M)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
     _bareiss(rows)
-    return s, rows[0][0] if n else 1, [row[n:] for row in rows]
+    return rows[0][0] if n else 1, [row[n:] for row in rows]
 
 
 def _inverse(gram):
     """G^-1 of a GramMatrix exactly, as rows of Fractions: s * adj(sG) /
-    det(sG) (`_adjugate`)."""
-    s, det, adj = _adjugate(gram)
+    det(sG), s the lcm of the Gram's denominators (`_adjugate`)."""
+    s, G = _scale_to_integers(gram.entries)
+    det, adj = _adjugate(G)
     return [[Fraction(s * x, det) for x in row] for row in adj]
 
 
@@ -291,14 +291,9 @@ def hnf_basis(rows):
             live = [piv] + [r for r in live[1:] if r[col]]
             if done or len(live) == 1:
                 break
+        # every other row is now zero in this column and the earlier ones
         basis.append(piv)
         work = [r for r in work if r is not piv and any(r[col:])]
-        for r in work:
-            if r[col]:
-                q = r[col] // piv[col]
-                for i in range(col, n):
-                    r[i] -= q * piv[i]
-        work = [r for r in work if any(r)]
     return basis
 
 
@@ -369,9 +364,8 @@ def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
     """(s, {q: A}): the nonzero counts A of the vectors of norm q/s <=
     max_norm, keyed by the integer q, with s the lcm of the Gram's
     denominators; the counts of `theta_coefficients`, one-dimensional
-    summands and search, without a Fraction per norm."""
-    if not isinstance(max_norm, (int, Fraction)):
-        max_norm = Fraction(max_norm)
+    summands and search, without a Fraction per norm.  max_norm is an
+    int or a Fraction."""
     if max_norm < 0:
         raise ValueError("max_norm must be non-negative")
     scale, G, L, d = _reduced(gram)
@@ -432,29 +426,26 @@ def _reduced(gram):
 
     s is the lcm of the Gram's denominators, G'' = U (s G) U^T for the
     unimodular U of an LLL reduction (`_lll`), as integer rows, and L, d
-    are the exact LDL^T factors of G''/s rounded to floats.  Kept on the
-    Gram after the first call.  A Gram the reduction leaves as it is
-    (U = I) reuses its own factors.
+    are the exact LDL^T factors of G''/s rounded to floats, read from the
+    `_bareiss` pivots of G'' whatever U is.  Kept on the Gram after the
+    first call.
     """
     if gram._reduced is None:
         import numpy as np
 
         s, G = _scale_to_integers(gram.entries)
-        H = _lll(G) if gram.n > 1 else None
-        if H is None:
-            L, d = gram.ldl
-        else:
-            # each quotient of integers rounded once, as float(Fraction)
-            # is; G'' is positive definite, so no row is exchanged
-            G = H
-            L, d = _ldl(_bareiss([row[:] for row in G])[0], s, truediv)
+        G = _lll(G)
+        # each quotient of integers rounded once, as float(Fraction) is;
+        # G'' is positive definite, so no row is exchanged
+        L, d = _ldl(_bareiss([row[:] for row in G])[0], s, truediv)
         object.__setattr__(gram, "_reduced", (s, G, np.array(L, dtype=float),
                                               [float(x) for x in d]))
     return gram._reduced
 
 
 def _lll(G):
-    """An LLL-reduced Gram U G U^T of an integer Gram G, or None if U = I.
+    """An LLL-reduced Gram U G U^T of an integer Gram G, as new rows; G
+    is left as it is.
 
     The reduction of Lenstra, Lenstra and Lovasz ("Factoring polynomials
     with rational coefficients", 1982) on the Gram alone, with Lovasz
@@ -466,9 +457,11 @@ def _lll(G):
     capped, so rounding cannot make it cycle.
     """
     n = len(G)
-    H = G
+    H = [list(r) for r in G]
     mu = [[0.0] * n for _ in range(n)]
-    b = [float(G[0][0])] + [0.0] * (n - 1)
+    # b_0 = G_00; any other b_j is read for j < k only, once k has
+    # passed j and set it
+    b = [float(r[i]) for i, r in enumerate(G)]
     k, steps = 1, 0
     while k < n and steps < 64 * n * n:
         steps += 1
@@ -486,16 +479,12 @@ def _lll(G):
                     for i, x in enumerate(mu[j][:j]):
                         mk[i] -= c * x
                     mk[j] -= c
-            if H is G:
-                H = [list(r) for r in G]
             row = _size_reduce(H, k, q)
             rk = [x * y for x, y in zip(mk, b[:k])]
         bk = row[k] - sum(map(mul, mk, rk))
         if not bk > 0:
             break  # rounding has swamped b_k; H is still a Gram of L
         if bk < (LLL_DELTA - mk[k - 1] ** 2) * b[k - 1]:
-            if H is G:
-                H = [list(r) for r in G]
             H[k - 1], H[k] = H[k], H[k - 1]
             for r in H:
                 r[k - 1], r[k] = r[k], r[k - 1]
@@ -506,7 +495,7 @@ def _lll(G):
         else:
             b[k] = bk
             k += 1
-    return None if H is G else H
+    return H
 
 
 def _size_reduce(H, k, q):
@@ -594,7 +583,9 @@ def _search(G, L, d, C, qmax, budget, cap):
     coordinate; beside it go the weights, None while every weight is 1.
     `zero` marks a batch whose first node is the all-zero prefix: its
     range starts at 0, and its first child (x_j = 0, always kept) is
-    again the all-zero prefix.
+    again the all-zero prefix.  The search starts from an ordinary such
+    batch, the empty prefix alone, with c = 0, B = 0, Q = P = 0 and rem =
+    C, whose range `ranges` gives as it gives any other.
     """
     import numpy as np
 
@@ -627,14 +618,10 @@ def _search(G, L, d, C, qmax, budget, cap):
             lo[0] = 0
         return lo, hi
 
-    # the root, with c = 0 and rem = C > 0: `ranges` in scalars
-    r = sqrt(C / d[n - 1])
-    if cap is not None and r >= cap - 1:
-        raise _OutsideCap
-    root = (np.zeros((n, 1)), np.zeros((n, 1), dtype=dtype),
-            np.zeros(1, dtype=dtype), np.zeros(1), np.full(1, C),
-            np.zeros(1, dtype=dtype),
-            np.array([floor(r + r * 2.0 ** -48)], dtype=dtype))
+    # the root batch, the empty prefix alone
+    c, rem = np.zeros((n, 1)), np.full(1, C)
+    root = (c, np.zeros((n, 1), dtype=dtype), np.zeros(1, dtype=dtype),
+            np.zeros(1), rem) + ranges(n - 1, c, rem, True)
     stack = [(n - 1, True, root, None)]
     merging = [True] * n
     tally = {}

@@ -2,12 +2,13 @@
 decompositions of 2- and 3-modular lattices.
 
 Each basis shape is one row of `_SHAPES`, keyed by (kind, ell): the
-generators (G1, G2), their dimensions (n0, n1), the step between the
-exponents of the series and the index [SL_2(Z) : Gamma_0(ell)].  The
-monomials of dimension n are G1^lambda * G2^mu with n0*lambda + n1*mu =
-n, ordered by mu.  The "even" rows (step 2) serve even lattices of level
-1, 2 and 3, the "general" row (level 2, step 1) the odd lattices built
-from codes.  The units are dimensions, twice the weights, so that a
+generators (G1, G2), the names `ThetaDecomposition.pretty` prints for
+them, their dimensions (n0, n1), the step between the exponents of the
+series and the index [SL_2(Z) : Gamma_0(ell)].  The monomials of
+dimension n are G1^lambda * G2^mu with n0*lambda + n1*mu = n, ordered
+by mu.  The "even" rows (step 2) serve even lattices of level 1, 2 and
+3, the "general" row (level 2, step 1) the odd lattices built from
+codes.  The units are dimensions, twice the weights, so that a
 generator of half-integral weight, such as theta_3, has an integer row.
 
 `certified_decomposition` gives a Gram the closed form with a proof:
@@ -29,17 +30,21 @@ from operator import mul
 from . import theta
 from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
-from .lattice import (DEFAULT_BUDGET, _adjugate, _bareiss, catalog,
-                      theta_coefficients)
+from .lattice import (DEFAULT_BUDGET, _adjugate, _scale_to_integers,
+                      catalog, theta_coefficients)
 from .qseries import DEFAULT_ORDER, SeriesMatrix, _rational
 
-_Shape = namedtuple("_Shape", "generators dims step index")
+_Shape = namedtuple("_Shape", "generators printed dims step index")
 
 _SHAPES = {
-    ("even", 1): _Shape(("Theta_E8", "Delta_24"), (8, 24), 2, 1),
-    ("even", 2): _Shape(("Theta_D4", "Delta_16"), (4, 16), 2, 3),
-    ("even", 3): _Shape(("Theta_A2", "Delta_12"), (2, 12), 2, 4),
-    ("general", 2): _Shape(("f1_l2", "Delta_4"), (2, 4), 1, 3),
+    ("even", 1): _Shape(("Theta_E8", "Delta_24"), ("Theta_E8", "Delta_24"),
+                        (8, 24), 2, 1),
+    ("even", 2): _Shape(("Theta_D4", "Delta_16"), ("Theta_D4", "Delta_16"),
+                        (4, 16), 2, 3),
+    ("even", 3): _Shape(("Theta_A2", "Delta_12"), ("Theta_A2", "Delta_12"),
+                        (2, 12), 2, 4),
+    ("general", 2): _Shape(("f1_l2", "Delta_4"), ("f1", "Delta_4"),
+                           (2, 4), 1, 3),
 }
 
 #: Default surplus depth of `solve_coefficients`: a spot check, no proof.
@@ -73,9 +78,7 @@ class ThetaDecomposition:
             raise ValueError("coefficient count does not match basis")
 
     def pretty(self):
-        g1, g2 = self.basis.generators
-        if g1 == "f1_l2":
-            g1 = "f1"
+        g1, g2 = _SHAPES[self.basis.kind, self.basis.ell].printed
         parts = []
         for (e1, e2), c in zip(self.basis.terms, self.coeffs):
             if c == 0 and parts:
@@ -161,16 +164,12 @@ def _matching_exponents(basis, count):
 @lru_cache(maxsize=None)
 def _matching_inverse(basis):
     """(D, D * M^-1, scales) for the integer matrix M of the basis terms
-    at the matching exponents, D = +-det M; term k is scales[k] times
-    column k of M.  Bareiss elimination of [M | I] ends at
-    [D * I | D * M^-1]."""
+    at the matching exponents, D = +-det M (`lattice._adjugate`); term k
+    is scales[k] times column k of M."""
     exps = _matching_exponents(basis, len(basis.terms))
     matrix = _terms_below(basis, exps[-1] + 1)
-    t = len(exps)
-    rows = [matrix.row(e) + [int(i == j) for j in range(t)]
-            for i, e in enumerate(exps)]
-    _bareiss(rows)
-    return rows[0][0], tuple(tuple(row[t:]) for row in rows), matrix.scales
+    det, inverse = _adjugate([matrix.row(e) for e in exps])
+    return det, tuple(map(tuple, inverse)), matrix.scales
 
 
 def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
@@ -309,11 +308,13 @@ def _gate_level(gram):
 def _level(gram):
     """The least N with N * G^-1 integral with an even diagonal.
 
-    With G^-1 = s A / D (`lattice._adjugate`), entry (i, j) needs N to
-    be a multiple of D / gcd(D, s A_ij) off the diagonal and of 2D /
-    gcd(2D, s A_ii) on it.
+    With s the lcm of the Gram's denominators, D = det(sG) and A =
+    adj(sG) (`lattice._adjugate`), G^-1 = s A / D, so entry (i, j) needs
+    N to be a multiple of D / gcd(D, s A_ij) off the diagonal and of 2D
+    / gcd(2D, s A_ii) on it.
     """
-    s, det, adj = _adjugate(gram)
+    s, G = _scale_to_integers(gram.entries)
+    det, adj = _adjugate(G)
     return lcm(*((2 * det // gcd(2 * det, s * x)) if i == j
                  else det // gcd(det, s * x)
                  for i, row in enumerate(adj) for j, x in enumerate(row)))
@@ -325,11 +326,12 @@ def decomposition_from_fixture(row):
     return ThetaDecomposition(basis, tuple(Fraction(c) for c in row.coeffs))
 
 
-def check_table_row(row):
+def check_table_row(row, budget=DEFAULT_BUDGET):
     """A fixtures.TableRow's decomposition and the failures of its checks
     up to q^9: constant term 1, non-negative integer coefficients, every
     exponent a multiple of the basis step, and agreement with
-    `gram_decomposition` where a catalog Gram is shipped."""
+    `gram_decomposition`, within `budget` search nodes, where a catalog
+    Gram is shipped."""
     problems = []
     d = decomposition_from_fixture(row)
     s = expand_decomposition(d, 10)
@@ -343,7 +345,7 @@ def check_table_row(row):
     if row.catalog_name:
         try:
             found = gram_decomposition(catalog(row.catalog_name).gram,
-                                       d.basis)
+                                       d.basis, budget)
             if found != d:
                 problems.append("catalog Gram gives %s" % found.pretty())
         except InconsistentSurplus as exc:

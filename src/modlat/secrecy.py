@@ -303,7 +303,9 @@ class _GramTheta:
     side from the bracket and needs only that side's cutoff.  `prepare`
     and `prepare_span` bisect for the switch among the points a call
     will read, and enumerate each side once, to the deepest cutoff its
-    points need; `value` then reads each point from those counts.
+    points need; `value` then reads each point from those counts.  A
+    point no call prepared, as the one point of `eval_gram_numeric`, is
+    planned in full and its side enumerated by `value` itself.
     """
 
     def __init__(self, gram, eps, budget):
@@ -483,7 +485,7 @@ def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
     before anything is enumerated; more than `budget` search nodes raise
     BoundTooLarge.
     """
-    return _GramTheta(gram, eps, budget).prepare([y]).value(y)
+    return _GramTheta(gram, eps, budget).value(y)
 
 
 def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):

@@ -207,6 +207,16 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_tables_budget_reaches_the_catalog_grams(capsys, which):
+    # the rows with a catalog Gram enumerate it: K12 to norm 4 in
+    # table 1, ExampleDim8 to norm 8 in table 2
+    assert main(["tables", "--which", which, "--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration exceeded budget of 10 nodes\n"
+
+
 @pytest.mark.parametrize("action", ["lwe", "selfdual", "theta"])
 def test_code_with_ragged_rows_exits_2(capsys, tmp_path, action):
     path = tmp_path / "ragged.txt"

@@ -434,6 +434,52 @@ def test_search_reaching_cap_falls_back_to_python_ints(monkeypatch):
     assert caps == [3, None]
 
 
+def _long_gram():
+    """A Gram LLL leaves as it is, whose vectors (x, y) with y != 0 have
+    norm at least 2e8 - 1/2: below that only the (x, 0), of norm 2 x^2,
+    count."""
+    g = GramMatrix([[2, 1], [1, 2 * 10 ** 8]])
+    assert lattice._reduced(g)[1] == [[2, 1], [1, 2 * 10 ** 8]]
+    return g
+
+
+def _line_counts(qmax):
+    """{q: A} of the vectors (x, 0) of `_long_gram` with norm q <= qmax."""
+    counts = {2 * x * x: 2 for x in range(1, isqrt(qmax // 2) + 1)}
+    counts[0] = 1
+    return counts
+
+
+def test_a_node_with_more_than_chunk_children_is_cut():
+    # the zero node at level 0 has x = 0 .. 8660 as children, more than
+    # CHUNK, so it is expanded a CHUNK at a time
+    qmax = 15 * 10 ** 7
+    assert isqrt(qmax // 2) + 1 > lattice.CHUNK
+    want = _line_counts(qmax)
+    assert lattice._norm_counts(_long_gram(), qmax) == (1, want)
+    third = GramMatrix([[Fraction(x, 3) for x in row]
+                        for row in _long_gram().entries])
+    assert theta_coefficients(third, Fraction(qmax, 3)) == \
+        [(Fraction(q, 3), k) for q, k in sorted(want.items())]
+
+
+def test_a_range_below_the_root_that_reaches_the_cap_reruns(monkeypatch):
+    # the root's range |y| <= 0.007 passes a cap of 10, but level 0's
+    # |x| <= 70 reaches it, so `ranges` raises inside the search
+    caps = []
+    search = lattice._search
+
+    def counting(G, L, d, C, qmax, budget, cap):
+        caps.append(cap)
+        return search(G, L, d, C, qmax, budget, cap)
+
+    monkeypatch.setattr(lattice, "_search", counting)
+    monkeypatch.setattr(lattice, "_int64_cap", lambda G, qmax: 10)
+    assert lattice._norm_counts(_long_gram(), 10 ** 4) == \
+        (1, _line_counts(10 ** 4))
+    assert caps == [10, None]
+
+
 def _split_gram():
     """Z + A2 + sqrt(3)Z, half-scaled, in the sheared basis U = I plus
     the subdiagonal and a corner one."""

@@ -111,8 +111,7 @@ def test_round_trip_random():
                 for _ in basis.terms[1:])
             d = ThetaDecomposition(basis, coeffs)
             s = expand_decomposition(d, 12)
-            step = 2 if basis.kind == "even" else 1
-            known = [(step * i, s.coeff_at(step * i))
+            known = [(basis.step * i, s.coeff_at(basis.step * i))
                      for i in range(len(basis.terms))]
             back = solve_coefficients(basis, known, surplus_depth=0)
             assert back.coeffs == coeffs
