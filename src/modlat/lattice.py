@@ -44,7 +44,7 @@ check and LDL^T factors, those of its reduced basis, its inverse (the
 dual lattice and the level) and the decomposition coefficients.  The
 check and the factors read only its pivot rows, so a square matrix is
 eliminated forward alone; the inverse and the coefficients are solved
-for, Gauss-Jordan.
+for, Gauss-Jordan, by `_adjugate`.
 """
 
 from __future__ import annotations
