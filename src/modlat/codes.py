@@ -262,21 +262,21 @@ def coset_theta(length, order=DEFAULT_ORDER):
     coset representatives: length 0 is the zero coset, 1 the coset of 1,
     2 the coset of sqrt(-2), 3 the coset of 1 + sqrt(-2).
     """
-    order = Fraction(order)
+    if length not in (0, 1, 2, 3):
+        raise ValueError("length must be 0..3")
+    return _coset_thetas(Fraction(order))[int(length)]
+
+
+@lru_cache(maxsize=None)
+def _coset_thetas(order):
+    """The four series of `coset_theta` below order, by length, built
+    from one set of one-dimensional factors."""
     third = Fraction(1, 3)
     t3_3 = theta.jacobi_theta3(order, 3)        # sum q^{3a^2}
     t6 = theta.jacobi_theta3(order, 6)          # sum q^{6b^2}
     r1 = theta.split_residue_theta(1, third, order)      # sum q^{(3a+1)^2/3}
     r2 = theta.split_residue_theta(1, 2 * third, order)  # sum q^{2(3b+1)^2/3}
-    if length == 0:
-        return t3_3 * t6
-    if length == 1:
-        return r1 * t6
-    if length == 2:
-        return t3_3 * r2
-    if length == 3:
-        return r1 * r2
-    raise ValueError("length must be 0..3")
+    return t3_3 * t6, r1 * t6, t3_3 * r2, r1 * r2
 
 
 def theta_from_lwe(lwe, order=DEFAULT_ORDER):

@@ -30,8 +30,9 @@ the diagonal, the one-dimensional orthogonal summands gZ, are counted in
 closed form, 2 vectors of norm g x^2 for each x >= 1, only the other
 coordinates are searched, and the exact counts are convolved.  A Gram
 that reduces to a diagonal one, as Z^n, C2, C3 and their duals do, is
-not searched at all, and the node budget counts the nodes of the search
-of the rest alone.
+not searched at all.  The node budget counts the nodes of the search of
+the rest and, for each summand convolved in, the norms it leaves, so a
+Gram with many summands and a deep norm stops at the budget too.
 
 numpy is imported by the functions that use it, `_reduced` and `_search`
 with its helpers, not at the top of the module: it loads at the first
@@ -344,9 +345,10 @@ def theta_coefficients(gram: GramMatrix, max_norm, budget=DEFAULT_BUDGET):
     A coordinate whose row of G'' is zero off the diagonal spans a
     one-dimensional orthogonal summand gZ, with 2 vectors of norm g x^2
     for each x >= 1.  Such summands are counted in closed form and
-    convolved with the counts of the search of the other coordinates,
-    which alone spend the budget; a G'' that is diagonal, as for Z^n, C2
-    and C3, is not searched.
+    convolved with the counts of the search of the other coordinates;
+    a G'' that is diagonal, as for Z^n, C2 and C3, is not searched.  Each
+    convolution is charged the number of norms it leaves, added to the
+    search's nodes against the same budget.
 
     Integral Grams give a dense list [(Fraction(m), A_m)] for m = 0 ..
     floor(max_norm); rational Grams give the nonzero counts only, sorted
@@ -371,7 +373,7 @@ def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
     scale, G, L, d = _reduced(gram)
     qmax = floor(max_norm * scale)
     n = gram.n
-    tally, summands = {}, []
+    tally, summands, nodes = {}, [], 0
     # every nonzero vector has a positive integer norm under G''
     if n and qmax:
         # a row of G'' that is zero off the diagonal spans a
@@ -389,15 +391,20 @@ def _norm_counts(gram, max_norm, budget=DEFAULT_BUDGET):
                 d = [d[i] for i in rest]
             C = float(max_norm) + 1e-9 * (float(max_norm) + 1.0)
             try:
-                tally = _search(G, L, d, C, qmax, budget,
-                                _int64_cap(G, qmax))[0]
+                tally, nodes = _search(G, L, d, C, qmax, budget,
+                                       _int64_cap(G, qmax))
             except _OutsideCap:
-                tally = _search(G, L, d, C, qmax, budget, None)[0]
+                tally, nodes = _search(G, L, d, C, qmax, budget, None)
     # the tally counts one of each pair +-x
     counts = {q: 2 * k for q, k in tally.items()}
     counts[0] = 1
+    # each summand is charged the norms it leaves, against the same budget
     for g in summands:
         counts = _times_summand(counts, g, qmax)
+        nodes += len(counts)
+        if nodes > budget:
+            raise BoundTooLarge("enumeration exceeded budget of %d nodes"
+                                % budget)
     return scale, counts
 
 

@@ -29,14 +29,23 @@ Products go by Kronecker substitution (Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", 2009): each
 integer vector is packed into one Python integer, slot i holding entry
 i in a field wide enough for every coefficient of the product, the two
-integers are multiplied once, and the low slots are read back.  Sums
-are matrix-vector products over a `SeriesMatrix`, the summands as the
-columns of one integer matrix on a common grid.
+integers are multiplied once, and the low slots are read back.  A slot
+is 1, 2, 4 or 8 bytes, the item sizes of the signed `array` typecodes
+(each typecode is chosen by its `itemsize`, not by its name), so a
+vector is packed, and the product read back, in one C call each; the
+array bytes are byteswapped on a big-endian host, so the packed integer
+is the same everywhere.  Python ints are unbounded, so a product may
+need slots wider than 8 bytes, which no typecode holds; those are
+converted one coefficient at a time.  Sums are matrix-vector products
+over a `SeriesMatrix`, the summands as the columns of one integer
+matrix on a common grid.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -87,14 +96,49 @@ def _bias(width, count):
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(v, width):
-    """sum_i v[i] * 2^(8*width*i), for |v[i]| < 2^(8*width - 1)."""
-    raw = int.from_bytes(b"".join([x.to_bytes(width, "little", signed=True)
-                                   for x in v]), "little")
+#: (slot bytes, typecode) for a slot of 0..8 bytes: the signed array
+#: typecode of the least item size that holds it, read from the platform.
+_SLOTS = tuple(min((array(code).itemsize, code) for code in "qlihb"
+                   if array(code).itemsize >= width) for width in range(9))
+
+#: array writes native byte order; slots are packed little-endian.
+_SWAP = sys.byteorder == "big"
+
+
+def _slot(bits):
+    """(width, typecode) of a slot of at least `bits` bits: 1, 2, 4 or 8
+    bytes with a typecode, or the least whole number of bytes past 8 and
+    None."""
+    width = (bits + 7) // 8
+    return _SLOTS[width] if width <= 8 else (width, None)
+
+
+def _pack(v, width, code, bias):
+    """sum_i v[i] * 2^(8*width*i), for |v[i]| < 2^(8*width - 1), with
+    `bias` (`_bias`) of at least len(v) slots."""
+    if code:
+        items = array(code, v)
+        if _SWAP:
+            items.byteswap()
+        buf = items.tobytes()
+    else:
+        buf = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
     # a two's complement slot x mod 2^w with its top bit flipped is
-    # x + 2^(w-1), so raw ^ bias = packed + bias
-    bias = _bias(width, len(v))
+    # x + 2^(w-1), so raw ^ bias = packed + bias; a slot past v is 0 in
+    # raw and in the difference
+    raw = int.from_bytes(buf, "little")
     return (raw ^ bias) - bias
+
+
+def _unpack(buf, width, code):
+    """The signed little-endian slots of `width` bytes in buf."""
+    if code:
+        items = array(code, buf)
+        if _SWAP:
+            items.byteswap()
+        return items.tolist()
+    return [int.from_bytes(buf[i:i + width], "little", signed=True)
+            for i in range(0, len(buf), width)]
 
 
 def _product(a, b, m):
@@ -102,24 +146,28 @@ def _product(a, b, m):
 
     Every coefficient of the product is at most min(len a, len b) *
     max|a| * max|b| in absolute value, so slots of that many bits plus
-    a sign bit hold each one exactly.  The packed integers are multiplied
-    once; the low m slots are shifted to non-negative values by the bias,
-    so no slot borrows from the next, and read back signed.
+    a sign bit hold each one exactly.  A slot is widened to 1, 2, 4 or 8
+    bytes, the item sizes of `array`, so each vector is packed and the
+    product read back in one conversion, the bytes swapped to little-
+    endian on a big-endian host.  A slot past 8 bytes, needed only when
+    the inputs are that large, has no typecode and is converted one
+    entry at a time.  The packed integers are multiplied once; the low m
+    slots are shifted to non-negative values by the bias, so no slot
+    borrows from the next, and read back signed.
     """
     square = a is b
     a = a[:m]
     b = a if square else b[:m]
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) // 8
-    pa = _pack(a, width)
-    c = pa * (pa if square else _pack(b, width))
-    size = width * m
+    width, code = _slot(max(map(abs, a)).bit_length()
+                        + max(map(abs, b)).bit_length()
+                        + min(len(a), len(b)).bit_length() + 1)
+    # a and b have at most m entries, so one bias of m slots serves all
     bias = _bias(width, m)
-    buf = (((c + bias) & ((1 << 8 * size) - 1)) ^ bias).to_bytes(size,
-                                                                "little")
-    return [int.from_bytes(buf[i:i + width], "little", signed=True)
-            for i in range(0, size, width)]
+    pa = _pack(a, width, code, bias)
+    c = pa * (pa if square else _pack(b, width, code, bias))
+    size = width * m
+    return _unpack((((c + bias) & ((1 << 8 * size) - 1)) ^ bias)
+                   .to_bytes(size, "little"), width, code)
 
 
 def _inverse(u, m):
@@ -352,11 +400,12 @@ class QSeries:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = QSeries.one(self.trunc)
-        base = self
+        if not e:
+            return QSeries.one(self.trunc)
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
         return result

@@ -67,6 +67,16 @@ _theta2, theta3_numeric, _theta4, _eta = (
     eta.numeric)
 
 
+def _checked_eps(eps):
+    """eps, the relative tail bound a value must certify, if it is finite
+    and above 0; ValueError otherwise.  Every public entry point reaches
+    a value through `eval_theta_numeric` or `_GramTheta`, which call
+    this first."""
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and above 0, not %r" % (eps,))
+    return eps
+
+
 def form_numeric(name, y):
     """Value at tau = i*y of a named form, read from `theta.FORMULAS`."""
     return FORMULAS[name](y, _theta2, theta3_numeric, _theta4, _eta)
@@ -212,8 +222,6 @@ class _Side:
         the bound follows closely: one step of R <- log(P(R)/eps)/a from
         log(1/eps)/a, the step from R = 0 (P(0) = 1).
         """
-        if not eps > 0:
-            return None, None
         R = min(MAX_CUTOFF, max(0.0, math.log(1.0 / eps)) / a)
         R = int(min(MAX_CUTOFF, max(0.0, math.log(self.box(R) / eps)) / a))
         t = self.tail(a, R)
@@ -309,10 +317,10 @@ class _GramTheta:
     """
 
     def __init__(self, gram, eps, budget):
+        self.eps, self.budget = _checked_eps(eps), budget
         self.cubic = _constants(gram)[3]
         self.n = gram.n
         self.sides = (_Side(gram, False), _Side(gram, True))
-        self.eps, self.budget = eps, budget
         self.plans = {}
         self.dual_to, self.primal_from = 0.0, math.inf
 
@@ -496,6 +504,7 @@ def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):
     """
     if y <= 0:
         raise ValueError("y must be positive")
+    _checked_eps(eps)
     if isinstance(source, ThetaDecomposition):
         return eval_decomposition_numeric(source, y)
     if isinstance(source, GramMatrix):

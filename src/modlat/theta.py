@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, count, islice
+from operator import mul
 
 from .errors import TailBoundNotMet
 from .qseries import DEFAULT_ORDER, QSeries, _count, first_mismatch
@@ -176,13 +177,17 @@ def eta_quotient(numerator_scales, denominator_scales, order=DEFAULT_ORDER):
     result is correct below `order`.
     """
     order = Fraction(order)
+    if order <= 0:
+        raise ValueError("order must be positive")
     den = [(Fraction(c), int(e)) for c, e in denominator_scales]
     num = [(Fraction(c), int(e)) for c, e in numerator_scales]
     e0 = sum((c * e for c, e in den), Fraction(0)) / 12
     work = order + 2 * e0
-    p = math.prod((eta(work, c) ** e for c, e in num), start=QSeries.one(work))
-    d = math.prod((eta(work, c) ** e for c, e in den), start=QSeries.one(work))
-    return p * d.invert_unit()
+    factors = [eta(work, c) ** e for c, e in num]
+    if den:
+        factors.append(reduce(mul, [eta(work, c) ** e
+                                    for c, e in den]).invert_unit())
+    return reduce(mul, factors) if factors else QSeries.one(order)
 
 
 def split_residue_theta(residue, scale=Fraction(1), order=DEFAULT_ORDER):

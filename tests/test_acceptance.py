@@ -180,7 +180,7 @@ def test_criterion_7_round_trip_property():
               for row in fixtures.TABLE1 + fixtures.TABLE2}
     for ell, n, kind in sorted(shapes):
         basis = build_basis(ell, n, kind)
-        step = 2 if kind == "even" else 1
+        step = basis.step
         for _ in range(200):
             coeffs = (Fraction(1),) + tuple(
                 Fraction(rng.randrange(-500, 500))

@@ -198,6 +198,15 @@ def test_out_file(run, tmp_path):
     # the budget reaches the secrecy functions' enumerations
     "gain ExampleDim8 --budget 10",
     "curve ExampleDim8 --budget 10 --samples 3",
+    # and the closed-form counts of one-dimensional summands
+    "expand Z64 --order 500 --budget 10",
+    # eps must be finite and above 0, on every route
+    "gain E8 --eps 0",
+    "gain dim8 --eps -1",
+    "curve BW16 --eps 0 --samples 2",
+    "gain C2 --eps 0",
+    "gain C2 --eps nan",
+    "gain C2 --eps inf",
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv.split()) == 2

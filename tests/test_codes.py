@@ -12,6 +12,7 @@ from modlat.codes import (ALL_ELEMS, CodeOverR, RingElem,
                           theta_from_lwe)
 from modlat.errors import EnumerationTooLarge
 from modlat.lattice import theta_coefficients
+from modlat.modform import decomposition_from_fixture, expand_decomposition
 from modlat.qseries import first_mismatch
 from modlat.theta import jacobi_theta3
 
@@ -222,6 +223,15 @@ def test_theta_from_lwe_fixture():
     lwe = length_weight_enumerator(fixture_code())
     s = theta_from_lwe(lwe, 5)
     assert [s.coeff_at(e) for e in range(5)] == [1, 0, 32, 128, 240]
+
+
+def test_theta_from_lwe_is_the_dim8_row():
+    # the code's lattice is the table's dim8, at every quarter-step order
+    lwe = length_weight_enumerator(fixture_code())
+    d = decomposition_from_fixture(fixtures.table_row("dim8"))
+    for k in range(32, 193):
+        order = Fraction(k, 4)
+        assert theta_from_lwe(lwe, order) == expand_decomposition(d, order)
 
 
 def test_theta_from_lwe_zero_code():

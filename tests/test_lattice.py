@@ -506,8 +506,33 @@ def test_orthogonal_summands_are_counted_in_closed_form():
     assert got == [(m, c) for m, c in series.terms() if m <= max_norm]
 
 
+def _summand_charge(gram, norms, max_norm):
+    """What the one-dimensional summands of a Gram's reduced basis are
+    charged, starting from the integer norms `norms` of the rest: the
+    number of norms <= max_norm left after each summand, summed."""
+    s, G, _, _ = lattice._reduced(gram)
+    qmax = floor(max_norm * s)
+    charge = 0
+    for i, row in enumerate(G):
+        if not any(x for k, x in enumerate(row) if k != i):
+            g = G[i][i]
+            norms = {q + g * x * x for q in norms
+                     for x in range(isqrt(qmax // g) + 1)
+                     if q + g * x * x <= qmax}
+            charge += len(norms)
+    return charge
+
+
+def _at_budget(gram, max_norm, budget):
+    """theta_coefficients at the budget, and BoundTooLarge one below."""
+    assert theta_coefficients(gram, max_norm, budget=budget)
+    with pytest.raises(BoundTooLarge):
+        theta_coefficients(gram, max_norm, budget=budget - 1)
+
+
 def test_only_the_rest_of_a_split_gram_is_searched():
-    # the node count is that of the rest, the A2 block, searched alone
+    # the nodes are those of the rest, the A2 block, searched alone, plus
+    # the norms left by each summand
     g = _split_gram()
     s, G, L, d = lattice._reduced(g)
     rest = [i for i, row in enumerate(G)
@@ -516,17 +541,17 @@ def test_only_the_rest_of_a_split_gram_is_searched():
     assert lattice._reduced(block)[1] == [[G[i][k] for k in rest]
                                           for i in rest]
     for max_norm in (2, Fraction(13, 2), 20):
-        nodes = lattice._search(*_search_args(block, max_norm), 10 ** 6,
-                                None)[1]
+        tally, nodes = lattice._search(*_search_args(block, max_norm),
+                                       10 ** 6, None)
         assert nodes > 0
-        theta_coefficients(g, max_norm, budget=nodes)
-        with pytest.raises(BoundTooLarge):
-            theta_coefficients(g, max_norm, budget=nodes - 1)
-    # a Gram that reduces to a diagonal one keeps no node
+        charge = _summand_charge(g, {0, *tally}, max_norm)
+        assert charge > 0
+        _at_budget(g, max_norm, nodes + charge)
+    # a Gram that reduces to a diagonal one keeps no node and is charged
+    # its summands alone
     for name in ("C2", "C3", "Z12"):
-        assert theta_coefficients(catalog(name).gram, 30, budget=0)
-        assert theta_coefficients(_dual_gram(catalog(name).gram), 30,
-                                  budget=0)
+        for gram in (catalog(name).gram, _dual_gram(catalog(name).gram)):
+            _at_budget(gram, 30, _summand_charge(gram, {0}, 30))
 
 
 @st.composite

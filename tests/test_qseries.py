@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlat.errors import NotInvertible, QueryBeyondTruncation
+from modlat import qseries
 from modlat.qseries import QSeries, _rational, first_mismatch
 from modlat.theta import eta, jacobi_theta3, jacobi_theta4
 
@@ -241,6 +243,47 @@ def test_product_matches_schoolbook(a, b):
     assert a * b == schoolbook(a, b)
     assert (a * b).to_text() == schoolbook(a, b).to_text()
     assert a * a == schoolbook(a, a)
+
+
+def convolution(a, b, m):
+    """The first m coefficients of the product of integer vectors a, b."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(m)]
+
+
+def extreme_vectors(la, lb, bits, signs):
+    """Vectors of lengths la, lb at the largest magnitudes whose slot
+    bound in `_product` is `bits` bits: all one sign ("same"), of
+    opposite signs ("opposite"), or alternating ("alternate")."""
+    spare = bits - 1 - min(la, lb).bit_length()
+    ka = spare // 2
+    ma, mb = 2 ** ka - 1, 2 ** (spare - ka) - 1
+    if signs == "same":
+        return [ma] * la, [mb] * lb
+    if signs == "opposite":
+        return [-ma] * la, [mb] * lb
+    return [(-1) ** i * ma for i in range(la)], \
+        [(-1) ** (i // 2) * mb for i in range(lb)]
+
+
+@pytest.mark.parametrize("signs", ["same", "opposite", "alternate"])
+@pytest.mark.parametrize("la, lb", [(1, 1), (1, 6), (5, 1), (3, 7), (8, 8)])
+@pytest.mark.parametrize("width, step", [(1, 2), (2, 4), (4, 8), (8, 9)])
+def test_product_at_each_slot_width(width, step, la, lb, signs):
+    # bits = 8*width fills slots of `width` bytes; one bit more steps to
+    # the next width, 9 bytes and past that one entry at a time
+    for bits, slot in ((8 * width, width), (8 * width + 1, step)):
+        a, b = extreme_vectors(la, lb, bits, signs)
+        assert (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                + min(la, lb).bit_length() + 1) == bits
+        size, code = qseries._slot(bits)
+        assert size == slot
+        assert code is None if slot > 8 else \
+            array(code).itemsize == slot
+        full = la + lb - 1
+        for m in {1, (full + 1) // 2, full, full + 2}:
+            assert qseries._product(a, b, m) == convolution(a, b, m)
+            assert qseries._product(a, a, m) == convolution(a, a, m)
 
 
 @settings(max_examples=40, deadline=None)
