@@ -177,12 +177,12 @@ def eta_quotient(numerator_scales, denominator_scales, order=DEFAULT_ORDER):
     result is correct below `order`.
     """
     order = Fraction(order)
-    if order <= 0:
-        raise ValueError("order must be positive")
     den = [(Fraction(c), int(e)) for c, e in denominator_scales]
     num = [(Fraction(c), int(e)) for c, e in numerator_scales]
     e0 = sum((c * e for c, e in den), Fraction(0)) / 12
     work = order + 2 * e0
+    if work <= 0:
+        raise ValueError("working order %s must be positive" % work)
     factors = [eta(work, c) ** e for c, e in num]
     if den:
         factors.append(reduce(mul, [eta(work, c) ** e
