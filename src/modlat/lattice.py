@@ -192,8 +192,10 @@ def _bareiss(rows):
             exchanged = True
         pivot = rows[k]
         for i in range(0 if jordan else k + 1, n):
-            if i != k:
-                f = rows[i][k]
+            f = rows[i][k]
+            # a row with 0 in the column is only rescaled by pivot/prev,
+            # which is the identity when the pivot repeats (Z^n, say)
+            if i != k and (f or pivot[k] != prev):
                 rows[i] = [(pivot[k] * x - f * y) // prev
                            for x, y in zip(rows[i], pivot)]
         pivots.append(pivot)

@@ -5,16 +5,20 @@ imaginary axis tau = i*y.
 reading of the primitives there, so the exact and float paths share
 one formula and one series per primitive.
 
-A Gram reaches the secrecy functions by one of three routes, decided
-once per call from the Gram alone and reported as `route` in
-`ThetaValue` and `SecrecyEvaluation`.  An even Gram of level ell in
-{1, 2, 3} and determinant ell^(n/2) whose theta series lies in the span
-of its level's even basis takes "closed_form": `modform.
-certified_decomposition` proves the decomposition from the counts up to
-the Sturm bound, and the value is read from it as from any
-decomposition ("decomposition", the route of a ThetaDecomposition
-input).  Every other Gram takes "primal" or "dual", below;
-`eval_gram_numeric` always does.
+Every entry point reads Theta_L through one reader, `_theta`, which
+picks the route once per call, in this order, and reports it as
+`route` in `ThetaValue` and `SecrecyEvaluation`:
+  1. a ThetaDecomposition over its level's basis, the paper's own
+     method, is read as given ("decomposition");
+  2. an even Gram of level ell in {1, 2, 3} and determinant ell^(n/2)
+     whose theta series lies in the span of its level's even basis is
+     read from the decomposition that `modform.certified_decomposition`
+     proves from its counts up to the Sturm bound ("closed_form");
+  3. the identity Gram is read as theta3^n, with a proven bound
+     ("theta3_product");
+  4. every other Gram takes the primal/dual count sums below ("primal"
+     or "dual").
+`eval_gram_numeric` takes steps 3 and 4 only.
 
 The theta series of a Gram G (LDL^T diagonal d) is summed from exact
 norm counts A_m with a proven tail bound.  The Fincke-Pohst count gives
@@ -50,8 +54,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .errors import TailBoundNotMet
 from .lattice import DEFAULT_BUDGET, GramMatrix, _dual_gram, _norm_counts
@@ -67,14 +72,12 @@ _theta2, theta3_numeric, _theta4, _eta = (
     eta.numeric)
 
 
-def _checked_eps(eps):
-    """eps, the relative tail bound a value must certify, if it is finite
-    and above 0; ValueError otherwise.  Every public entry point reaches
-    a value through `eval_theta_numeric` or `_GramTheta`, which call
-    this first."""
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be finite and above 0, not %r" % (eps,))
-    return eps
+def _checked_y(y):
+    """ValueError unless y is above 0.  Each entry point at given points
+    calls this once, before `_theta`; a curve's or a search's points are
+    checked by `_linear`."""
+    if not y > 0:
+        raise ValueError("y must be positive")
 
 
 def form_numeric(name, y):
@@ -87,8 +90,9 @@ class ThetaValue:
     value: float
     bound_on_tail: float
     terms_used: int
-    #: "closed_form" (a Gram's certified decomposition), "primal" or
-    #: "dual" (a Gram's enumerated side), or "decomposition"
+    #: "decomposition", "closed_form" (a Gram's certified decomposition),
+    #: "theta3_product" (the identity Gram as theta3^n), or "primal" or
+    #: "dual" (a Gram's enumerated side); picked by `_theta`
     route: str = "decomposition"
 
 
@@ -134,7 +138,7 @@ def _gamma(k):
 @lru_cache(maxsize=256)
 def _constants(gram):
     """(c of the primal side, c of the dual side, det(G)^(-1/2), whether
-    G is the identity) for `_Side` and `_GramTheta`.
+    G is the identity) for `_Side` and `_theta`.
 
     They depend on the Gram alone, so they are memoized, as the
     certificates are (`modform.certified_decomposition`).
@@ -271,7 +275,8 @@ class _Side:
           - a term in the subnormal range is off by at most (count + 1)
             times 2^-1074, absolutely.
         Products of these small relative errors are covered by rounding
-        the bound up.  The value itself is the plain sum.
+        the bound up.  The value itself is the plain sum.  A dual value
+        past the float range raises ValueError.
         """
         a = self.rate(y)
         used = bisect_right(self.norms, R)
@@ -293,8 +298,13 @@ class _Side:
                     + _gamma(4) * spread + tiny * 2.0 ** -1074) * _ROUND_UP
         if not self.dual:
             return ThetaValue(s, tail + rounding, used, "primal")
-        w = self.scale * y ** (-self.gram.n / 2)
+        try:
+            w = self.scale * y ** (-self.gram.n / 2)
+        except OverflowError:
+            w = math.inf
         value = w * s
+        if value == math.inf:
+            raise ValueError("theta at y=%g lies beyond the float range" % y)
         bound = (w * (tail + rounding) + value * _gamma(7)) * _ROUND_UP
         return ThetaValue(value, bound, used, "dual")
 
@@ -313,21 +323,18 @@ class _GramTheta:
     will read, and enumerate each side once, to the deepest cutoff its
     points need; `value` then reads each point from those counts.  A
     point no call prepared, as the one point of `eval_gram_numeric`, is
-    planned in full and its side enumerated by `value` itself.
+    planned in full and its side enumerated by `value` itself.  Every y
+    is taken to be above 0 (`_checked_y`).
     """
 
     def __init__(self, gram, eps, budget):
-        self.eps, self.budget = _checked_eps(eps), budget
-        self.cubic = _constants(gram)[3]
-        self.n = gram.n
+        self.eps, self.budget, self.n = eps, budget, gram.n
         self.sides = (_Side(gram, False), _Side(gram, True))
         self.plans = {}
         self.dual_to, self.primal_from = 0.0, math.inf
 
     def _probe(self, y):
         """(side index, (R, tail) of both sides) for y, planned in full."""
-        if not y > 0:
-            raise ValueError("y must be positive")
         cut = [side.cutoff(side.rate(y), self.eps) for side in self.sides]
         cost = [math.inf if R is None else side.box(R)
                 for side, (R, _) in zip(self.sides, cut)]
@@ -350,8 +357,8 @@ class _GramTheta:
         """(side index, cutoff R, tail bound at R) for y."""
         if y in self.plans:
             return self.plans[y]
-        if not y > 0 or self.dual_to < y < self.primal_from:
-            self._probe(y)  # ValueError unless y > 0
+        if self.dual_to < y < self.primal_from:
+            self._probe(y)
             return self.plans[y]
         i = int(y <= self.dual_to)
         side = self.sides[i]
@@ -389,8 +396,6 @@ class _GramTheta:
 
         Only the points the bisection probes are planned in full.
         """
-        if self.cubic or not ys:
-            return self
         ys = sorted(ys)
         if len(ys) > 1:
             self._switch(0, len(ys) - 1, ys.__getitem__,
@@ -417,9 +422,6 @@ class _GramTheta:
         point below u has the side of u and a cutoff no larger, and a
         point above v those of v.
         """
-        if self.cubic:
-            return self
-
         def step(R):
             # None, no cutoff up to MAX_CUTOFF, is one step past it
             return MAX_CUTOFF + 1 if R is None else R
@@ -434,40 +436,87 @@ class _GramTheta:
         return self._enumerate([10.0 ** (u / 10.0), 10.0 ** (v / 10.0)])
 
     def value(self, y):
-        if self.cubic:
-            return self._cubic(y)
         i, R, tail = self.plan(y)
         side = self.sides[i]
         if R > side.depth:  # a point no prepare call planned
             side.enumerate(R, self.budget)
         return side.read(y, R, tail)
 
-    def _cubic(self, y):
-        """ThetaValue of Z^n at i*y: theta3(iy)^n, with a proven bound.
 
-        Against theta3 = theta3(iy), s = theta3_numeric(y) = 1 + sum_{m>=1}
-        2 e^(-x_m), x_m the float of a*m^2, a = pi*y, errs by at most
-        rho*s, the sum of (as in `_Side.read`; u = 2^-53, q = e^-a):
-          - the truncation, below 2^-54 s (`theta.Primitive.numeric`);
-          - the terms, gamma_2 + gamma_3 x_m each from exp and from
-            rounding pi, a and x_m; sum_{m>=1} 2 x_m e^(-x_m) is at most
-            sqrt(pi/a)/2 + 2/e (the integral over t >= 0 plus the peak),
-            so at most (1/2 + 2/e) theta3, as theta3 >= max(1, y^(-1/2));
-          - the sum: adding t errs by at most min(u s, t); at most
-            sqrt(ln(4/u)/a) terms reach u, and the rest, falling by a
-            factor q or more, sum to at most u/(1 - q).
-        s^n is rounded once more, so it errs by (1 + rho)^n (1 + gamma_2)
-        - 1, relative, rounded up.
-        """
-        value = theta3_numeric(y) ** self.n
-        a = math.pi * y
-        u = 2.0 ** -53
-        rho = (2.0 ** -54 + _gamma(2) + _gamma(3) * (0.5 + 2.0 / math.e)
-               + u * (math.sqrt(math.log(4.0 / u) / a)
-                      - 1.0 / math.expm1(-a)))
-        bound = value * math.expm1(self.n * math.log1p(rho)
-                                   + math.log1p(_gamma(2))) * _ROUND_UP
-        return ThetaValue(value, bound, 0, "primal")
+class _Closed(namedtuple("_Closed", "n value")):
+    """A reader of Theta_L from a closed form, `value(y)`: each y is read
+    on its own, so nothing is prepared."""
+
+    def prepare(self, *points):
+        return self
+
+    prepare_span = prepare
+
+
+def _closed_form(d, y):
+    """Theta at i*y from a Gram's certified decomposition `d`."""
+    tv = eval_decomposition_numeric(d, y)
+    # tv is new and unshared, so it is relabelled in place: `replace`
+    # would cost a third of the reading at every point of a curve
+    object.__setattr__(tv, "route", "closed_form")
+    return tv
+
+
+def _theta3_power(n, y):
+    """ThetaValue of Z^n at i*y: theta3(iy)^n, with a proven bound.
+
+    Against theta3 = theta3(iy), s = theta3_numeric(y) = 1 + sum_{m>=1}
+    2 e^(-x_m), x_m the float of a*m^2, a = pi*y, errs by at most
+    rho*s, the sum of (as in `_Side.read`; u = 2^-53, q = e^-a):
+      - the truncation, below 2^-54 s (`theta.Primitive.numeric`);
+      - the terms, gamma_2 + gamma_3 x_m each from exp and from
+        rounding pi, a and x_m; sum_{m>=1} 2 x_m e^(-x_m) is at most
+        sqrt(pi/a)/2 + 2/e (the integral over t >= 0 plus the peak),
+        so at most (1/2 + 2/e) theta3, as theta3 >= max(1, y^(-1/2));
+      - the sum: adding t errs by at most min(u s, t); at most
+        sqrt(ln(4/u)/a) terms reach u, and the rest, falling by a
+        factor q or more, sum to at most u/(1 - q).
+    s^n is rounded once more, so it errs by (1 + rho)^n (1 + gamma_2)
+    - 1, relative, rounded up.
+    """
+    value = theta3_numeric(y) ** n
+    a = math.pi * y
+    u = 2.0 ** -53
+    rho = (2.0 ** -54 + _gamma(2) + _gamma(3) * (0.5 + 2.0 / math.e)
+           + u * (math.sqrt(math.log(4.0 / u) / a)
+                  - 1.0 / math.expm1(-a)))
+    bound = value * math.expm1(n * math.log1p(rho)
+                               + math.log1p(_gamma(2))) * _ROUND_UP
+    return ThetaValue(value, bound, 0, "theta3_product")
+
+
+def _theta(source, eps, budget, closed_form=True):
+    """The reader of Theta_L(iy) for `source`: an object with `n`,
+    `value(y)`, `prepare(ys)` and `prepare_span(lo_db, hi_db)`.
+
+    The route is picked here alone, in this order:
+      1. a ThetaDecomposition is read as given ("decomposition");
+      2. a Gram with a certified decomposition is read from it
+         ("closed_form"), unless `closed_form` is false;
+      3. the identity Gram is read as theta3^n ("theta3_product");
+      4. any other Gram is `_GramTheta`, the primal/dual count sums.
+    eps, the relative tail bound a value must certify, is checked first,
+    so a bad eps computes no certificate and enumerates nothing.
+    `certified_decomposition` is read from the module at each call.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and above 0, not %r" % (eps,))
+    if isinstance(source, ThetaDecomposition):
+        return _Closed(source.basis.n,
+                       partial(eval_decomposition_numeric, source))
+    if not isinstance(source, GramMatrix):
+        raise TypeError("unsupported theta source %r" % (source,))
+    d = certified_decomposition(source, budget) if closed_form else None
+    if d is not None:
+        return _Closed(d.basis.n, partial(_closed_form, d))
+    if _constants(source)[3]:
+        return _Closed(source.n, partial(_theta3_power, source.n))
+    return _GramTheta(source, eps, budget)
 
 
 def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
@@ -491,30 +540,18 @@ def eval_gram_numeric(gram: GramMatrix, y, eps=_EPS_DEFAULT,
     up; `terms_used` counts the nonzero norms summed.  If neither
     side certifies eps with R <= MAX_CUTOFF, TailBoundNotMet is raised
     before anything is enumerated; more than `budget` search nodes raise
-    BoundTooLarge.
+    BoundTooLarge.  The identity Gram is read as theta3^n instead
+    (`_theta`).
     """
-    return _GramTheta(gram, eps, budget).value(y)
+    _checked_y(y)
+    return _theta(gram, eps, budget, closed_form=False).value(y)
 
 
 def eval_theta_numeric(source, y, eps=_EPS_DEFAULT, budget=DEFAULT_BUDGET):
-    """Theta series value at tau = i*y for a decomposition or a Gram.
-
-    A Gram with a certified decomposition is read from it (route
-    "closed_form"); any other Gram is `eval_gram_numeric`.
-    """
-    if y <= 0:
-        raise ValueError("y must be positive")
-    _checked_eps(eps)
-    if isinstance(source, ThetaDecomposition):
-        return eval_decomposition_numeric(source, y)
-    if isinstance(source, GramMatrix):
-        d = certified_decomposition(source, budget)
-        if d is None:
-            return eval_gram_numeric(source, y, eps, budget)
-        return replace(eval_decomposition_numeric(d, y), route="closed_form")
-    if isinstance(source, _GramTheta):
-        return source.value(y)
-    raise TypeError("unsupported theta source %r" % (source,))
+    """Theta series value at tau = i*y for a decomposition or a Gram,
+    by the route `_theta` picks."""
+    _checked_y(y)
+    return _theta(source, eps, budget).value(y)
 
 
 @dataclass(frozen=True)
@@ -529,12 +566,12 @@ class SecrecyEvaluation:
     route: str = "decomposition"
 
 
-def _dimension(source):
-    if isinstance(source, ThetaDecomposition):
-        return source.basis.n
-    if isinstance(source, (GramMatrix, _GramTheta)):
-        return source.n
-    raise TypeError("unsupported secrecy source %r" % (source,))
+def _xi(theta, ell, y):
+    """SecrecyEvaluation at i*y of the `_theta` reader `theta`."""
+    tl = theta.value(y)
+    ref = theta3_numeric(y, math.sqrt(ell)) ** theta.n
+    return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
+                             tl.terms_used, tl.bound_on_tail, tl.route)
 
 
 def secrecy_function(source, ell, y, eps=_EPS_DEFAULT,
@@ -545,11 +582,8 @@ def secrecy_function(source, ell, y, eps=_EPS_DEFAULT,
     lattice; the dimension n of the cubic reference is read from it.  A
     Gram's enumerations are limited to `budget` search nodes.
     """
-    n = _dimension(source)
-    tl = eval_theta_numeric(source, y, eps, budget)
-    ref = theta3_numeric(y, math.sqrt(ell)) ** n
-    return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
-                             tl.terms_used, tl.bound_on_tail, tl.route)
+    _checked_y(y)
+    return _xi(_theta(source, eps, budget), ell, y)
 
 
 def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
@@ -558,9 +592,10 @@ def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
 
     The reference simplifies there: theta3(sqrt(ell)*i/sqrt(ell)) = theta3(i).
     """
-    n = _dimension(source)
-    tl = eval_theta_numeric(source, 1.0 / math.sqrt(ell), eps, budget)
-    return theta3_numeric(1.0) ** n / tl.value
+    y = 1.0 / math.sqrt(ell)
+    _checked_y(y)
+    theta = _theta(source, eps, budget)
+    return theta3_numeric(1.0) ** theta.n / theta.value(y).value
 
 
 def _linear(lo, hi, dbs):
@@ -589,13 +624,8 @@ def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT,
         raise ValueError("need samples >= 2")
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     ys = _linear(lo, hi, grid)
-    if isinstance(source, GramMatrix):
-        # the route is decided once: a certified decomposition, or both
-        # sides enumerated once
-        source = (certified_decomposition(source, budget)
-                  or _GramTheta(source, eps, budget).prepare(ys))
-    return [(ydb, secrecy_function(source, ell, y, eps, budget).xi)
-            for ydb, y in zip(grid, ys)]
+    theta = _theta(source, eps, budget).prepare(ys)
+    return [(ydb, _xi(theta, ell, y).xi) for ydb, y in zip(grid, ys)]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -614,13 +644,10 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
         search_range_db = (c - 3.0, c + 3.0)
     a, b = search_range_db
     _linear(a, b, (a, b))
-    if isinstance(source, GramMatrix):
-        source = (certified_decomposition(source, budget)
-                  or _GramTheta(source, eps, budget).prepare_span(a, b))
+    theta = _theta(source, eps, budget).prepare_span(a, b)
 
     def f(ydb):
-        return secrecy_function(source, ell, 10.0 ** (ydb / 10.0), eps,
-                                budget).xi
+        return _xi(theta, ell, 10.0 ** (ydb / 10.0)).xi
 
     h = b - a
     c1 = b - _INV_PHI * h

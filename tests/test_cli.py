@@ -195,6 +195,8 @@ def test_out_file(run, tmp_path):
     # 10^(y_dB/10) overflows
     "curve C2 --range -1e6:1e6",
     "curve E8 --range 3100:3200",
+    # the dual weight y^(-n/2) of a count sum passes the float range
+    "curve ExampleDim8 --range=-3000:-2990 --samples 2",
     # the budget reaches the secrecy functions' enumerations
     "gain ExampleDim8 --budget 10",
     "curve ExampleDim8 --budget 10 --samples 3",

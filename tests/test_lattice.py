@@ -146,6 +146,17 @@ def test_forward_elimination_keeps_the_pivot_rows(name):
     assert exchanged == solved_exchanged
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+def test_a_repeated_pivot_leaves_a_zero_row_unchanged(n):
+    # rows with 0 in the pivot column are not rebuilt while the pivot
+    # repeats, so the identity is eliminated with no update at all
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    given = list(rows)
+    pivots, exchanged = lattice._bareiss(rows)
+    assert not exchanged
+    assert all(p is r for p, r in zip(pivots, given)) and len(pivots) == n
+
+
 @st.composite
 def _pd_grams(draw):
     """(M M^T + den I) / den for a small square integer M."""

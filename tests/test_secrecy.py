@@ -307,6 +307,33 @@ def test_cubic_shortcut_bound(n):
             tv = eval_gram_numeric(g, y)
             ref = mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * y)) ** n
             assert abs(tv.value - ref) <= tv.bound_on_tail, (n, y)
+            assert tv.route == "theta3_product"
+            assert eval_theta_numeric(g, y) == tv
+
+
+def test_a_dual_value_past_the_float_range_is_refused():
+    # det^(-1/2) y^(-4) is 2.5e303 at y = 1e-76 and past the float range
+    # at 1e-78
+    g = catalog("ExampleDim8").gram
+    assert eval_gram_numeric(g, 1e-76).value == pytest.approx(2.5e303)
+    with pytest.raises(ValueError, match="y=1e-78"):
+        eval_gram_numeric(g, 1e-78)
+    with pytest.raises(ValueError, match="y=1e-78"):
+        secrecy_function(g, 2, 1e-78)
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+def test_every_route_refuses_a_y_not_above_0(y):
+    # a decomposition, a closed form, count sums and theta3^n
+    grams = [catalog(name).gram for name in ("D4", "C2", "Z8")]
+    for source in [fixture_decomposition("D4")] + grams:
+        with pytest.raises(ValueError, match="y must be positive"):
+            eval_theta_numeric(source, y)
+        with pytest.raises(ValueError, match="y must be positive"):
+            secrecy_function(source, 2, y)
+    for gram in grams:
+        with pytest.raises(ValueError, match="y must be positive"):
+            eval_gram_numeric(gram, y)
 
 
 def test_zn_flat():
@@ -507,3 +534,35 @@ def test_decomposition_error_within_four_estimates():
             tv = secrecy.eval_decomposition_numeric(
                 decomposition_from_fixture(row), 1.0 / math.sqrt(row.ell))
             assert abs(tv.value - exact) <= 4 * tv.bound_on_tail, row.name
+
+
+def test_table3_ranking():
+    """Table 3 per dimension: each 2- or 3-modular row beats the best
+    unimodular lattice of its dimension, except A2xA11 in dimension 22.
+
+    The six odd unimodular rows (X)+ are read as 32/(32 - n), which
+    equals each print to its digits; Z^2 and Z^4 are read from their
+    Grams, and the modular rows from their decompositions."""
+    best, modular = {}, {}
+    for row in fixtures.TABLE3:
+        if row.recompute_zn:
+            gain = weak_secrecy_gain(catalog("Z%d" % row.dim).gram, 1)
+            assert gain == 1
+        elif row.modular_key is None:
+            gain = Fraction(32, 32 - row.dim)
+            digits = len(repr(row.chi).split(".")[1])
+            assert round(float(gain), digits) == row.chi, row.name
+        else:
+            ref = fixtures.table_row(row.modular_key)
+            modular[row.name] = row.dim, weak_secrecy_gain(
+                decomposition_from_fixture(ref), ref.ell)
+            continue
+        best[row.dim] = max(best.get(row.dim, 0), gain)
+    margins = {name: round(gain - float(best[dim]), 4)
+               for name, (dim, gain) in modular.items()}
+    assert margins.pop("A2xA11") == -0.0748
+    assert min(margins.values()) == margins["A2"] == 0.0179
+    assert max(margins.values()) == margins["BW16"] == 0.2056
+    assert sorted(margins) == sorted(
+        ["A2", "D4", "K12", "C2xG(2,3)", "dim16 code lattice", "BW16",
+         "dim18 code lattice", "dim20 code lattice", "HS20"])
