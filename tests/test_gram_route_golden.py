@@ -1,12 +1,15 @@
-"""The Gram route of `secrecy`, bit for bit.
+"""Every route a Gram takes through `secrecy`, bit for bit.
 
 C2, C3, ExampleDim8 and the Construction-A Gram of the shipped code
 have no certified closed form, so their secrecy functions are summed
-from enumerated norm counts on the primal or the dual side.  The
-values below are the `float.hex` of what that route returns; a change
-that only makes the route cheaper must leave each of them as it is.
-The points lie 3, 1 and 0.25 dB either side of the symmetry point, so
-both sides are read.
+from enumerated norm counts on the primal or the dual side.  A2 and
+D4 are read from a certified decomposition of one monomial, a power of
+Theta_A2 or Theta_D4 alone, and BW16 from one over both generators
+(route "closed_form"); Z4, the identity Gram, is read as theta3^4
+(route "theta3_product").  The values below are the `float.hex` of
+what each route returns; a change that only makes a route cheaper must
+leave each of them as it is.  The points lie 3, 1 and 0.25 dB either
+side of the symmetry point, so both sides of the count sums are read.
 """
 
 import math
@@ -134,6 +137,114 @@ GOLDEN = {
             "0x1.069f578e60406p+0",
         ],
         "maximum": ("0x1.6a09d826fbd26p-1", "0x1.3a0a72ca57ca7p+0"),
+    },
+    "A2": {
+        "function": [
+            ("0x1.00d646f80725dp+0", "0x1.007eb4cb11aa1p+1",
+             "0x1.ce0f6a6c1e9d6p-52", 0, "closed_form"),
+            ("0x1.03cbbc82b430bp+0", "0x1.5661092e1af84p+0",
+             "0x1.34633ba8ffeeap-52", 0, "closed_form"),
+            ("0x1.0486c3407ac15p+0", "0x1.321115faaa593p+0",
+             "0x1.13ae2f86f406bp-52", 0, "closed_form"),
+            ("0x1.0486c3407ac15p+0", "0x1.20f215387a0c0p+0",
+             "0x1.044253da5d077p-52", 0, "closed_form"),
+            ("0x1.03cbbc82b430cp+0", "0x1.0ff61a9b24328p+0",
+             "0x1.e9ec08539ecc1p-53", 0, "closed_form"),
+            ("0x1.00d646f80725dp+0", "0x1.011a9ec36b4dfp+0",
+             "0x1.cf284909e9adcp-53", 0, "closed_form"),
+        ],
+        "weak": "0x1.049472e4ad681p+0",
+        "curve": [
+            "0x1.00d646f80725dp+0", "0x1.0169bc7e5a6e5p+0",
+            "0x1.02292374f034ep+0", "0x1.030087c165ce1p+0",
+            "0x1.03cbbc82b430bp+0", "0x1.045ea9a5b92dap+0",
+            "0x1.049472e4ad681p+0", "0x1.045ea9a5b92d7p+0",
+            "0x1.03cbbc82b430cp+0", "0x1.030087c165ce2p+0",
+            "0x1.02292374f034dp+0", "0x1.0169bc7e5a6e6p+0",
+            "0x1.00d646f80725dp+0",
+        ],
+        "maximum": ("0x1.279a68b5a469cp-1", "0x1.049472e4ad61ap+0"),
+    },
+    "D4": {
+        "function": [
+            ("0x1.03068a7adc842p+0", "0x1.ff4e2aeaf255bp+1",
+             "0x1.cc8afc24455f2p-50", 0, "closed_form"),
+            ("0x1.110f38b0c52fdp+0", "0x1.ba1f187b55eb6p+0",
+             "0x1.8e3a44fb7f3c4p-51", 0, "closed_form"),
+            ("0x1.1516a3937cf65p+0", "0x1.5e22f6e163054p+0",
+             "0x1.3b5fff9951503p-51", 0, "closed_form"),
+            ("0x1.1516a3937cf69p+0", "0x1.380f3effc5614p+0",
+             "0x1.191408cad13a8p-51", 0, "closed_form"),
+            ("0x1.110f38b0c5302p+0", "0x1.16f5b49906894p+0",
+             "0x1.f6877eb30b3b3p-52", 0, "closed_form"),
+            ("0x1.03068a7adc83dp+0", "0x1.00de41b96aee7p+0",
+             "0x1.cebb8b517dd38p-52", 0, "closed_form"),
+        ],
+        "weak": "0x1.15643c9684bedp+0",
+        "curve": [
+            "0x1.03068a7adc842p+0", "0x1.056fb7fb08f69p+0",
+            "0x1.08d1cba264093p+0", "0x1.0cec2a0fa131ep+0",
+            "0x1.110f38b0c52fdp+0", "0x1.1434f1e63564ap+0",
+            "0x1.15643c9684bedp+0", "0x1.1434f1e635646p+0",
+            "0x1.110f38b0c52ffp+0", "0x1.0cec2a0fa131ep+0",
+            "0x1.08d1cba26408fp+0", "0x1.056fb7fb08f69p+0",
+            "0x1.03068a7adc83dp+0",
+        ],
+        "maximum": ("0x1.6a09d826fbd26p-1", "0x1.15643c968499cp+0"),
+    },
+    "BW16": {
+        "function": [
+            ("0x1.0ff410008008cp+0", "0x1.f66bb2c350d88p+7",
+             "0x1.c48a53372edb7p-42", 0, "closed_form"),
+            ("0x1.b7768b4470054p+0", "0x1.ad4fe7241c086p+2",
+             "0x1.82b0a29e15561p-47", 0, "closed_form"),
+            ("0x1.14ab2f7bc5ad4p+1", "0x1.1c6c1f698bcf6p+1",
+             "0x1.002f5469908c5p-48", 0, "closed_form"),
+            ("0x1.14ab2f7bc5af1p+1", "0x1.66eaafeab1802p+0",
+             "0x1.43489130622d9p-49", 0, "closed_form"),
+            ("0x1.b7768b4470077p+0", "0x1.102a6106bdb5cp+0",
+             "0x1.ea4a33f3af39bp-50", 0, "closed_form"),
+            ("0x1.0ff4100080077p+0", "0x1.0005a9b5d74d7p+0",
+             "0x1.cd355d0e69d26p-50", 0, "closed_form"),
+        ],
+        "weak": "0x1.1a52251c2a226p+1",
+        "curve": [
+            "0x1.0ff410008008cp+0", "0x1.20510440fad55p+0",
+            "0x1.3d823525c8532p+0", "0x1.6e56c187f693bp+0",
+            "0x1.b7768b4470054p+0", "0x1.058b8bfe5d267p+1",
+            "0x1.1a52251c2a226p+1", "0x1.058b8bfe5d253p+1",
+            "0x1.b7768b447005dp+0", "0x1.6e56c187f6940p+0",
+            "0x1.3d823525c8525p+0", "0x1.20510440fad57p+0",
+            "0x1.0ff4100080077p+0",
+        ],
+        "maximum": ("0x1.6a09d826fbd26p-1", "0x1.1a52251c2765cp+1"),
+    },
+    "Z4": {
+        "function": [
+            ("0x1.0000000000000p+0", "0x1.02ac92eb1dc04p+2",
+             "0x1.a0c26006ef74cp-46", 0, "theta3_product"),
+            ("0x1.0000000000000p+0", "0x1.d79572d60d225p+0",
+             "0x1.5903b2c58b31cp-47", 0, "theta3_product"),
+            ("0x1.0000000000000p+0", "0x1.7afacbdd13b25p+0",
+             "0x1.0cc38a0a26d75p-47", 0, "theta3_product"),
+            ("0x1.0000000000000p+0", "0x1.51c417dfa8bf3p+0",
+             "0x1.d5e1d7be1868ep-48", 0, "theta3_product"),
+            ("0x1.0000000000000p+0", "0x1.298c9bc3243cep+0",
+             "0x1.92dd007dcfc06p-48", 0, "theta3_product"),
+            ("0x1.0000000000000p+0", "0x1.03e76ca738244p+0",
+             "0x1.4a936f6e706ccp-48", 0, "theta3_product"),
+        ],
+        "weak": "0x1.0000000000000p+0",
+        "curve": [
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "0x1.0000000000000p+0",
+        ],
+        "maximum": ("0x1.009bad4bfcf14p-1", "0x1.0000000000000p+0"),
     },
 }
 
