@@ -475,11 +475,15 @@ def _lll(G):
     while k < n and steps < 64 * n * n:
         steps += 1
         row, mk, rk = H[k], mu[k], []
-        # rk[j] = mu_kj b_j = G_kj - sum_{i<j} mu_ji rk[i]
-        for j in range(k):
-            x = row[j] - sum(map(mul, mu[j], rk))
-            mk[j] = x / b[j]
-            rk.append(x)
+        if any(row[:k]):
+            # rk[j] = mu_kj b_j = G_kj - sum_{i<j} mu_ji rk[i]
+            for j in range(k):
+                x = row[j] - sum(map(mul, mu[j], rk))
+                mk[j] = x / b[j]
+                rk.append(x)
+        else:  # row k is orthogonal to the rows before it
+            mk[:k] = [0.0] * k
+            rk = [0] * k
         if max(map(abs, mk[:k])) > LLL_ETA:
             q = [0] * k
             for j in range(k - 1, -1, -1):

@@ -18,7 +18,14 @@ picks the route once per call, in this order, and reports it as
      ("theta3_product");
   4. every other Gram takes the primal/dual count sums below ("primal"
      or "dual").
-`eval_gram_numeric` takes steps 3 and 4 only.
+`eval_gram_numeric` takes steps 3 and 4 only.  Each reader gives the
+float alone, `read(y)`, beside the ThetaValue, `value(y)`.  A curve, a
+maximum search and the weak secrecy gain read bare floats and build no
+SecrecyEvaluation; on a closed form they build no ThetaValue either
+(the count sums' `read` is `value(y).value`).  A decomposition's reader
+converts its coefficients to floats once and evaluates only the
+generators that its terms raise to a nonzero power, so a power of
+Theta_A2, Theta_D4 or Theta_E8 alone never evaluates its Delta.
 
 The theta series of a Gram G (LDL^T diagonal d) is summed from exact
 norm counts A_m with a proven tail bound.  The Fincke-Pohst count gives
@@ -56,7 +63,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .errors import TailBoundNotMet
 from .lattice import DEFAULT_BUDGET, GramMatrix, _dual_gram, _norm_counts
@@ -97,22 +104,15 @@ class ThetaValue:
 
 
 def eval_decomposition_numeric(d: ThetaDecomposition, y):
-    """Theta at i*y from a decomposition over its basis generators.
+    """Theta at i*y from a decomposition over its basis generators, read
+    by `_decomposition`: only the generators its terms use are evaluated.
 
     `bound_on_tail` is n * 1e-16 * |value|, an estimate of the rounding
     error, not a proven bound, and it is exceeded: against 50-digit mpmath
     at the symmetry point, by up to 3.9x on Table 1/2 rows (L24.2; HS20
     3.5x, BW16 3.1x), and by 4.2x (L24.2) at the float y itself.
     """
-    g1, g2 = d.basis.generators
-    v1 = form_numeric(g1, y)
-    v2 = form_numeric(g2, y)
-    total = 0.0
-    for (e1, e2), c in zip(d.basis.terms, d.coeffs):
-        total += float(c) * v1 ** e1 * v2 ** e2
-    # the generators' rounding, inflated by the powers, grows with n
-    n = d.basis.n
-    return ThetaValue(total, abs(total) * n * 1e-16, 0)
+    return _decomposition(d, "decomposition").value(y)
 
 
 #: Largest cutoff R either side of the Poisson identity may take.  A
@@ -442,10 +442,19 @@ class _GramTheta:
             side.enumerate(R, self.budget)
         return side.read(y, R, tail)
 
+    def read(self, y):
+        return self.value(y).value
 
-class _Closed(namedtuple("_Closed", "n value")):
-    """A reader of Theta_L from a closed form, `value(y)`: each y is read
-    on its own, so nothing is prepared."""
+
+class _Closed(namedtuple("_Closed", "n read bound route")):
+    """A reader of Theta_L from a closed form: `read(y)` is the float,
+    and `value(y)` the ThetaValue of route `route` whose `bound_on_tail`
+    is bound(y, value).  Each y is read on its own, so nothing is
+    prepared."""
+
+    def value(self, y):
+        v = self.read(y)
+        return ThetaValue(v, self.bound(y, v), 0, self.route)
 
     def prepare(self, *points):
         return self
@@ -453,17 +462,36 @@ class _Closed(namedtuple("_Closed", "n value")):
     prepare_span = prepare
 
 
-def _closed_form(d, y):
-    """Theta at i*y from a Gram's certified decomposition `d`."""
-    tv = eval_decomposition_numeric(d, y)
-    # tv is new and unshared, so it is relabelled in place: `replace`
-    # would cost a third of the reading at every point of a curve
-    object.__setattr__(tv, "route", "closed_form")
-    return tv
+def _decomposition(d, route):
+    """The `_Closed` reader of the decomposition `d`.
+
+    Its coefficients are read as floats once.  A generator that no term
+    raises to a nonzero power is not evaluated but taken as 1.0: its
+    power would be v ** 0 = 1.0 and a product by 1.0 is exact, so every
+    sum has the same terms, in the same order, bit for bit.  The bound
+    is the estimate of `eval_decomposition_numeric`.
+    """
+    g1, g2 = d.basis.generators
+    terms = [(float(c), e1, e2)
+             for (e1, e2), c in zip(d.basis.terms, d.coeffs)]
+    use1 = any(e1 for _, e1, _ in terms)
+    use2 = any(e2 for _, _, e2 in terms)
+    n = d.basis.n
+
+    def read(y):
+        v1 = form_numeric(g1, y) if use1 else 1.0
+        v2 = form_numeric(g2, y) if use2 else 1.0
+        total = 0.0
+        for c, e1, e2 in terms:
+            total += c * v1 ** e1 * v2 ** e2
+        return total
+
+    # the generators' rounding, inflated by the powers, grows with n
+    return _Closed(n, read, lambda y, v: abs(v) * n * 1e-16, route)
 
 
-def _theta3_power(n, y):
-    """ThetaValue of Z^n at i*y: theta3(iy)^n, with a proven bound.
+def _theta3_power(n):
+    """The `_Closed` reader of Z^n: theta3(iy)^n, with a proven bound.
 
     Against theta3 = theta3(iy), s = theta3_numeric(y) = 1 + sum_{m>=1}
     2 e^(-x_m), x_m the float of a*m^2, a = pi*y, errs by at most
@@ -479,20 +507,23 @@ def _theta3_power(n, y):
     s^n is rounded once more, so it errs by (1 + rho)^n (1 + gamma_2)
     - 1, relative, rounded up.
     """
-    value = theta3_numeric(y) ** n
-    a = math.pi * y
-    u = 2.0 ** -53
-    rho = (2.0 ** -54 + _gamma(2) + _gamma(3) * (0.5 + 2.0 / math.e)
-           + u * (math.sqrt(math.log(4.0 / u) / a)
-                  - 1.0 / math.expm1(-a)))
-    bound = value * math.expm1(n * math.log1p(rho)
-                               + math.log1p(_gamma(2))) * _ROUND_UP
-    return ThetaValue(value, bound, 0, "theta3_product")
+    def bound(y, value):
+        a = math.pi * y
+        u = 2.0 ** -53
+        rho = (2.0 ** -54 + _gamma(2) + _gamma(3) * (0.5 + 2.0 / math.e)
+               + u * (math.sqrt(math.log(4.0 / u) / a)
+                      - 1.0 / math.expm1(-a)))
+        return value * math.expm1(n * math.log1p(rho)
+                                  + math.log1p(_gamma(2))) * _ROUND_UP
+
+    return _Closed(n, lambda y: theta3_numeric(y) ** n, bound,
+                   "theta3_product")
 
 
 def _theta(source, eps, budget, closed_form=True):
     """The reader of Theta_L(iy) for `source`: an object with `n`,
-    `value(y)`, `prepare(ys)` and `prepare_span(lo_db, hi_db)`.
+    `value(y)`, the ThetaValue at i*y, `read(y)`, its value alone as a
+    float, `prepare(ys)` and `prepare_span(lo_db, hi_db)`.
 
     The route is picked here alone, in this order:
       1. a ThetaDecomposition is read as given ("decomposition");
@@ -507,15 +538,14 @@ def _theta(source, eps, budget, closed_form=True):
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and above 0, not %r" % (eps,))
     if isinstance(source, ThetaDecomposition):
-        return _Closed(source.basis.n,
-                       partial(eval_decomposition_numeric, source))
+        return _decomposition(source, "decomposition")
     if not isinstance(source, GramMatrix):
         raise TypeError("unsupported theta source %r" % (source,))
     d = certified_decomposition(source, budget) if closed_form else None
     if d is not None:
-        return _Closed(d.basis.n, partial(_closed_form, d))
+        return _decomposition(d, "closed_form")
     if _constants(source)[3]:
-        return _Closed(source.n, partial(_theta3_power, source.n))
+        return _theta3_power(source.n)
     return _GramTheta(source, eps, budget)
 
 
@@ -566,12 +596,15 @@ class SecrecyEvaluation:
     route: str = "decomposition"
 
 
-def _xi(theta, ell, y):
-    """SecrecyEvaluation at i*y of the `_theta` reader `theta`."""
-    tl = theta.value(y)
-    ref = theta3_numeric(y, math.sqrt(ell)) ** theta.n
-    return SecrecyEvaluation(y, ref / tl.value, tl.value, ref,
-                             tl.terms_used, tl.bound_on_tail, tl.route)
+def _xi(n, theta, y, scale):
+    """(Xi, reference) for a lattice of dimension n whose theta series at
+    the point is the float `theta`: Xi = reference / theta, with the
+    reference theta3(i*scale*y)^n of the cubic lattice.  At i*y, scale
+    is sqrt(ell); at the symmetry point the reference is read as
+    theta3(i)^n, y = scale = 1.0, as sqrt(ell)/sqrt(ell) is not 1.0 in
+    floats for ell = 3 (`weak_secrecy_gain`)."""
+    ref = theta3_numeric(y, scale) ** n
+    return ref / theta, ref
 
 
 def secrecy_function(source, ell, y, eps=_EPS_DEFAULT,
@@ -583,7 +616,11 @@ def secrecy_function(source, ell, y, eps=_EPS_DEFAULT,
     Gram's enumerations are limited to `budget` search nodes.
     """
     _checked_y(y)
-    return _xi(_theta(source, eps, budget), ell, y)
+    theta = _theta(source, eps, budget)
+    tl = theta.value(y)
+    xi, ref = _xi(theta.n, tl.value, y, math.sqrt(ell))
+    return SecrecyEvaluation(y, xi, tl.value, ref, tl.terms_used,
+                             tl.bound_on_tail, tl.route)
 
 
 def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
@@ -595,7 +632,7 @@ def weak_secrecy_gain(source, ell, eps=_EPS_DEFAULT,
     y = 1.0 / math.sqrt(ell)
     _checked_y(y)
     theta = _theta(source, eps, budget)
-    return theta3_numeric(1.0) ** theta.n / theta.value(y).value
+    return _xi(theta.n, theta.read(y), 1.0, 1.0)[0]
 
 
 def _linear(lo, hi, dbs):
@@ -625,7 +662,8 @@ def secrecy_curve(source, ell, y_range_db, samples, eps=_EPS_DEFAULT,
     grid = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
     ys = _linear(lo, hi, grid)
     theta = _theta(source, eps, budget).prepare(ys)
-    return [(ydb, _xi(theta, ell, y).xi) for ydb, y in zip(grid, ys)]
+    n, read, scale = theta.n, theta.read, math.sqrt(ell)
+    return [(ydb, _xi(n, read(y), y, scale)[0]) for ydb, y in zip(grid, ys)]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -645,9 +683,11 @@ def locate_maximum(source, ell, search_range_db=None, tol_db=1e-5,
     a, b = search_range_db
     _linear(a, b, (a, b))
     theta = _theta(source, eps, budget).prepare_span(a, b)
+    n, read, scale = theta.n, theta.read, math.sqrt(ell)
 
     def f(ydb):
-        return _xi(theta, ell, 10.0 ** (ydb / 10.0)).xi
+        y = 10.0 ** (ydb / 10.0)
+        return _xi(n, read(y), y, scale)[0]
 
     h = b - a
     c1 = b - _INV_PHI * h

@@ -620,6 +620,20 @@ def test_reduced_basis_of_the_catalog(name):
                for k in range(1, g.n))
 
 
+def test_reduction_of_a_block_diagonal_gram():
+    """Rows 1, 3 and 4 start orthogonal to the rows before them, so their
+    Gram-Schmidt coefficients are set to 0 and not summed; the 2x2 block
+    [[2, 3], [3, 6]] is still reduced, to A2's Gram, and the rows are
+    those the full update gave."""
+    G = [[3, 0, 0, 0, 0], [0, 2, 3, 0, 0], [0, 3, 6, 0, 0],
+         [0, 0, 0, 5, 0], [0, 0, 0, 0, 2]]
+    given = [list(r) for r in G]
+    assert lattice._lll(G) == [[2, -1, 0, 0, 0], [-1, 2, 0, 0, 0],
+                               [0, 0, 2, 0, 0], [0, 0, 0, 3, 0],
+                               [0, 0, 0, 0, 5]]
+    assert G == given
+
+
 def test_catalog_entries_are_built_once():
     for name in CATALOG_NAMES:
         assert catalog(name) is catalog(name)

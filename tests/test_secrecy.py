@@ -256,6 +256,23 @@ def test_closed_form_within_a_node_budget(name):
     assert abs(chi - row.chi_w) < 1e-5
 
 
+def test_a_decomposition_reads_only_the_generators_it_uses(monkeypatch):
+    # A2 and D4 are Theta_A2 and Theta_D4 alone, so Delta_12 and
+    # Delta_16 are never evaluated; every point of a curve reads its
+    # generator once
+    calls = []
+    form_numeric = secrecy.form_numeric
+    monkeypatch.setattr(secrecy, "form_numeric",
+                        lambda name, y: calls.append(name)
+                        or form_numeric(name, y))
+    sym = 10.0 * math.log10(3 ** -0.5)
+    secrecy_curve(catalog("A2").gram, 3, (sym - 3, sym + 3), 13)
+    assert calls == ["Theta_A2"] * 13
+    del calls[:]
+    locate_maximum(catalog("D4").gram, 2)
+    assert calls and set(calls) == {"Theta_D4"}
+
+
 @pytest.mark.parametrize("gram", [
     catalog("C2").gram, catalog("ExampleDim8").gram,
     GramMatrix([[2, 0], [0, 2]]),
