@@ -45,7 +45,11 @@ check and LDL^T factors, those of its reduced basis, its inverse (the
 dual lattice and the level) and the decomposition coefficients.  The
 check and the factors read only its pivot rows, so a square matrix is
 eliminated forward alone; the inverse and the coefficients are solved
-for, Gauss-Jordan, by `_adjugate`.
+for, Gauss-Jordan, by `_adjugate`.  A Gram keeps the integers of its
+check, the scaled rows and their pivot rows: its determinant, and its
+exact LDL^T factors when first asked for, are read from the pivots, and
+its reduced basis, inverse and level start from the scaled rows, so no
+entry is scaled twice.
 """
 
 from __future__ import annotations
@@ -65,13 +69,19 @@ from .qseries import _rational
 class GramMatrix:
     """Symmetric positive-definite matrix of exact rationals.
 
-    `ldl` holds the exact LDL^T factors (L, d) found by the
-    positive-definiteness check at construction.  The reduced basis
+    `entries` holds the rows as Fractions.  The constructor also keeps
+    the integers its positive-definiteness check works on: `_scaled`, the
+    pair (s, sG) with s the lcm of the denominators, and `_pivots`, the
+    `_bareiss` pivot rows of sG.  The determinant is read from the last
+    pivot, and `ldl`, the exact LDL^T factors (L, d) as Fractions, is
+    formed from the pivots at its first use and kept.  The reduced basis
     `theta_coefficients` searches in is kept in `_reduced` once formed,
-    and the dual Gram in `_dual` (`_dual_gram`).
+    and the dual Gram in `_dual` (`_dual_gram`); both start from
+    `_scaled`.
     """
 
-    __slots__ = ("entries", "n", "ldl", "_hash", "_reduced", "_dual")
+    __slots__ = ("entries", "n", "_scaled", "_pivots", "_factors", "_hash",
+                 "_reduced", "_dual")
 
     def __init__(self, entries):
         rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
@@ -83,7 +93,7 @@ class GramMatrix:
         if any(G[i][j] != G[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
         try:
-            U, exchanged = _bareiss(G)
+            U, exchanged = _bareiss(G[:])
         except SingularSystem:
             exchanged = True
         # Sylvester: the pivots U_kk are the leading principal minors of sG
@@ -91,7 +101,9 @@ class GramMatrix:
             raise ValueError("Gram matrix is not positive definite")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ldl", _ldl(U, s, Fraction))
+        object.__setattr__(self, "_scaled", (s, G))
+        object.__setattr__(self, "_pivots", U)
+        object.__setattr__(self, "_factors", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_reduced", None)
         object.__setattr__(self, "_dual", None)
@@ -113,11 +125,20 @@ class GramMatrix:
             object.__setattr__(self, "_hash", hash(self.entries))
         return self._hash
 
+    @property
+    def ldl(self):
+        """The exact LDL^T factors (L, d) of G, formed from the pivot rows
+        at the first call and kept."""
+        if self._factors is None:
+            object.__setattr__(self, "_factors",
+                               _ldl(self._pivots, self._scaled[0], Fraction))
+        return self._factors
+
     def determinant(self):
-        out = Fraction(1)
-        for x in self.ldl[1]:
-            out *= x
-        return out
+        # the last pivot is det(sG) = s^n det G
+        if not self.n:
+            return Fraction(1)
+        return Fraction(self._pivots[-1][-1], self._scaled[0] ** self.n)
 
     def is_integral(self):
         return all(x.denominator == 1 for row in self.entries for x in row)
@@ -165,6 +186,10 @@ def _scale_to_integers(rows):
 
 def _bareiss(rows):
     """Fraction-free elimination (Bareiss 1968) of integer rows, in place.
+
+    The list `rows` is changed, its rows exchanged and replaced, but no
+    row list is itself written to, so the elimination of a shallow copy
+    of a matrix leaves the matrix as it was.
 
     Rows [A | B], A square, are reduced Gauss-Jordan to
     [D * I | D * A^-1 B] with D = +-det A, dividing each update exactly
@@ -230,8 +255,8 @@ def _adjugate(M):
 
 def _inverse(gram):
     """G^-1 of a GramMatrix exactly, as rows of Fractions: s * adj(sG) /
-    det(sG), s the lcm of the Gram's denominators (`_adjugate`)."""
-    s, G = _scale_to_integers(gram.entries)
+    det(sG), from the integers (s, sG) the Gram keeps (`_adjugate`)."""
+    s, G = gram._scaled
     det, adj = _adjugate(G)
     return [[Fraction(s * x, det) for x in row] for row in adj]
 
@@ -434,19 +459,19 @@ def _reduced(gram):
     """(s, G'', L, d): the basis `theta_coefficients` searches in.
 
     s is the lcm of the Gram's denominators, G'' = U (s G) U^T for the
-    unimodular U of an LLL reduction (`_lll`), as integer rows, and L, d
-    are the exact LDL^T factors of G''/s rounded to floats, read from the
-    `_bareiss` pivots of G'' whatever U is.  Kept on the Gram after the
-    first call.
+    unimodular U of an LLL reduction (`_lll`) of the integers sG the
+    Gram keeps, as integer rows, and L, d are the exact LDL^T factors of
+    G''/s rounded to floats, read from the `_bareiss` pivots of G''
+    whatever U is.  Kept on the Gram after the first call.
     """
     if gram._reduced is None:
         import numpy as np
 
-        s, G = _scale_to_integers(gram.entries)
+        s, G = gram._scaled
         G = _lll(G)
         # each quotient of integers rounded once, as float(Fraction) is;
         # G'' is positive definite, so no row is exchanged
-        L, d = _ldl(_bareiss([row[:] for row in G])[0], s, truediv)
+        L, d = _ldl(_bareiss(G[:])[0], s, truediv)
         object.__setattr__(gram, "_reduced", (s, G, np.array(L, dtype=float),
                                               [float(x) for x in d]))
     return gram._reduced

@@ -30,8 +30,7 @@ from operator import mul
 from . import theta
 from .errors import (BoundTooLarge, EmptyBasis, InconsistentSurplus,
                      UnsupportedLevel)
-from .lattice import (DEFAULT_BUDGET, _adjugate, _scale_to_integers,
-                      catalog, theta_coefficients)
+from .lattice import DEFAULT_BUDGET, _adjugate, catalog, theta_coefficients
 from .qseries import DEFAULT_ORDER, SeriesMatrix, _rational
 
 _Shape = namedtuple("_Shape", "generators printed dims step index")
@@ -175,20 +174,32 @@ def _matching_inverse(basis):
 def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
     """Recover decomposition coefficients from leading theta coefficients.
 
-    `known` is a list of (norm, count) pairs.  The first len(terms)
+    `known` is a list of (norm, count) pairs of ints or Fractions; a norm
+    given twice counts with its last count.  The first len(terms)
     matching exponents, the multiples of the basis step, feed an exact
     linear system; any further known coefficients up to `surplus_depth`
     are checked against the solution.
     The system's inverse is computed once per basis, so a solve is one
-    matrix-vector product and the check one more.
+    matrix-vector product and the check one more.  The pairs are read in
+    one pass, as integers, and the check compares each count with the
+    integers of the solution's expansion.
     """
-    known_map = {Fraction(m): Fraction(c) for m, c in known}
-    exps = _matching_exponents(basis, len(basis.terms))
-    missing = [e for e in exps if e not in known_map]
+    step, size = basis.step, len(basis.terms)
+    order = max(surplus_depth + 1, step * (size - 1) + 1)
+    rhs = [None] * size
+    surplus = {}  # (numerator, denominator) of a norm -> its count
+    for m, c in known:
+        e, f = m.numerator, m.denominator
+        if e < order * f:
+            i, r = divmod(e, step)
+            if f == 1 and not r and 0 <= i < size:
+                rhs[i] = c
+            else:
+                surplus[e, f] = c
+    missing = [step * i for i, c in enumerate(rhs) if c is None]
     if missing:
         raise ValueError("need theta coefficients at exponents %s" % missing)
     det, inverse, scales = _matching_inverse(basis)
-    rhs = [known_map[e] for e in exps]
     common = lcm(*(r.denominator for r in rhs))
     rhs = [r.numerator * (common // r.denominator) for r in rhs]
     # M y = rhs has y_k = scales[k] * coefficient k
@@ -196,18 +207,20 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
         Fraction(sum(map(mul, row, rhs)) * s.denominator,
                  det * common * s.numerator)
         for row, s in zip(inverse, scales)))
-    order = Fraction(max(surplus_depth + 1, exps[-1] + 1))
     # the matching coefficients hold by construction
-    surplus = [(e, c) for e, c in known_map.items()
-               if e < order and e not in exps]
     if surplus:
-        expansion = expand_decomposition(d, order)
-        for e, c in surplus:
-            if c != expansion.coeff_at(e):
+        x = expand_decomposition(d, order)
+        a, b, ints = x.scale.numerator, x.scale.denominator, x.ints
+        for (e, f), c in surplus.items():
+            # the coefficient at e/f is a/b times the integer k of x's grid
+            i, r = divmod(e * x.den - x.start * f, x.step * f)
+            k = ints[i] if not r and 0 <= i < len(ints) else 0
+            if c * b != a * k:
+                exponent = Fraction(e, f)
                 raise InconsistentSurplus(
                     "solution gives coefficient %s at q^%s but %s was "
                     "supplied; wrong level, parity or basis shape for this "
-                    "lattice" % (expansion.coeff_at(e), e, c))
+                    "lattice" % (x.coeff_at(exponent), exponent, Fraction(c)))
     return d
 
 
@@ -309,11 +322,11 @@ def _level(gram):
     """The least N with N * G^-1 integral with an even diagonal.
 
     With s the lcm of the Gram's denominators, D = det(sG) and A =
-    adj(sG) (`lattice._adjugate`), G^-1 = s A / D, so entry (i, j) needs
-    N to be a multiple of D / gcd(D, s A_ij) off the diagonal and of 2D
-    / gcd(2D, s A_ii) on it.
+    adj(sG) (`lattice._adjugate`, on the integers sG the Gram keeps),
+    G^-1 = s A / D, so entry (i, j) needs N to be a multiple of D /
+    gcd(D, s A_ij) off the diagonal and of 2D / gcd(2D, s A_ii) on it.
     """
-    s, G = _scale_to_integers(gram.entries)
+    s, G = gram._scaled
     det, adj = _adjugate(G)
     return lcm(*((2 * det // gcd(2 * det, s * x)) if i == j
                  else det // gcd(det, s * x)
@@ -331,17 +344,33 @@ def check_table_row(row, budget=DEFAULT_BUDGET):
     up to q^9: constant term 1, non-negative integer coefficients, every
     exponent a multiple of the basis step, and agreement with
     `gram_decomposition`, within `budget` search nodes, where a catalog
-    Gram is shipped."""
+    Gram is shipped.
+
+    The checks read the canonical form of the expansion (`qseries`): its
+    integers are coprime with the first one positive and share one scale,
+    so every coefficient is an integer iff the scale is and non-negative
+    iff the scale and every integer are; the nonzero terms lie on the
+    grid (start + step*i)/den, and step is the gcd of their offsets, so
+    every exponent is a multiple of the basis step iff den is 1 and start
+    and step are.  Each term is visited, for its message, only when a
+    check fails.
+    """
     problems = []
     d = decomposition_from_fixture(row)
     s = expand_decomposition(d, 10)
-    if s.coeff_at(0) != 1:
+    a, b, ints = s.scale.numerator, s.scale.denominator, s.ints
+    grid = d.basis.step
+    if not ints or s.start or a * ints[0] != b:
         problems.append("constant term %s != 1" % s.coeff_at(0))
-    for e, c in s.terms():
-        if c.denominator != 1 or c < 0:
-            problems.append("coefficient %s at q^%s not a count" % (c, e))
-        if e % d.basis.step:
-            problems.append("odd-exponent term q^%s in even lattice" % e)
+    if not (b == 1 and a > 0 and min(ints, default=0) >= 0
+            and s.den == 1 and not s.start % grid
+            and (len(ints) < 2 or not s.step % grid)):
+        for e, c in s.terms():
+            if c.denominator != 1 or c < 0:
+                problems.append("coefficient %s at q^%s not a count"
+                                % (c, e))
+            if e % grid:
+                problems.append("odd-exponent term q^%s in even lattice" % e)
     if row.catalog_name:
         try:
             found = gram_decomposition(catalog(row.catalog_name).gram,
@@ -351,15 +380,3 @@ def check_table_row(row, budget=DEFAULT_BUDGET):
         except InconsistentSurplus as exc:
             problems.append("catalog Gram: %s" % exc)
     return d, problems
-
-
-def verify_table(which):
-    """`check_table_row` of each row of fixture table 1 or 2, as a list of
-    (row name, ok, list of failure messages)."""
-    from . import fixtures
-
-    report = []
-    for row in {1: fixtures.TABLE1, 2: fixtures.TABLE2}[which]:
-        problems = check_table_row(row)[1]
-        report.append((row.name, not problems, problems))
-    return report

@@ -47,7 +47,7 @@ import json
 import sys
 from array import array
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 from typing import NamedTuple
@@ -245,7 +245,7 @@ class QSeries:
                 ints = [x // g for x in ints]
                 scale *= g
             # k = 0 for a single term, whose exponent alone fixes den
-            k = gcd(*[i for i, x in enumerate(ints) if x])
+            k = gcd(*compress(range(len(ints)), ints))
             if k > 1:
                 ints = ints[::k]
             step *= k
@@ -310,7 +310,7 @@ class QSeries:
         a, b = self.scale.numerator, self.scale.denominator
         start, step = self.start, self.step
         return {start + step * i: Fraction(a * c, b)
-                for i, c in enumerate(self.ints) if c}
+                for i, c in compress(enumerate(self.ints), self.ints)}
 
     def terms(self):
         """Sorted list of (exponent, coefficient) pairs."""

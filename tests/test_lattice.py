@@ -445,6 +445,23 @@ def test_search_reaching_cap_falls_back_to_python_ints(monkeypatch):
     assert caps == [3, None]
 
 
+def test_search_skips_a_batch_that_keeps_no_child():
+    # A search of diag(2 CHUNK^2, 1) to C just below CHUNK^2: the range
+    # of the root, x_1 = 0 .. CHUNK, takes in x_1 = CHUNK by the rounding
+    # slack, which the float test then drops, as CHUNK^2 > C.  The root's
+    # children are split into a batch of CHUNK, each with the one child
+    # x_0 = 0, and a batch of x_1 = CHUNK alone, which keeps no child.
+    chunk = lattice.CHUNK
+    G = [[2 * chunk ** 2, 0], [0, 1]]
+    C = float(np.nextafter(float(chunk ** 2), 0.0))
+    qmax = chunk ** 2 - 1
+    for cap in (lattice._int64_cap(G, qmax), None):
+        tally, nodes = lattice._search(G, np.eye(2), [2.0 * chunk ** 2, 1.0],
+                                       C, qmax, 10 ** 6, cap)
+        assert tally == {x * x: 1 for x in range(1, chunk)}
+        assert nodes == 2 * chunk
+
+
 def _long_gram():
     """A Gram LLL leaves as it is, whose vectors (x, y) with y != 0 have
     norm at least 2e8 - 1/2: below that only the (x, 0), of norm 2 x^2,

@@ -12,9 +12,9 @@ from modlat import fixtures, lattice, modform
 from modlat.lattice import (CATALOG_NAMES, GramMatrix, _dual_gram, catalog,
                             theta_coefficients)
 from modlat.modform import (BasisSpec, ThetaDecomposition, build_basis,
-                            certified_decomposition,
+                            certified_decomposition, check_table_row,
                             decomposition_from_fixture, expand_decomposition,
-                            solve_coefficients, verify_table)
+                            solve_coefficients)
 from modlat.qseries import first_mismatch
 from modlat.theta import expand
 
@@ -118,9 +118,9 @@ def test_round_trip_random():
 
 
 def test_verify_table_rows():
-    for which in (1, 2):
-        for name, ok, problems in verify_table(which):
-            assert ok, "%s: %s" % (name, problems)
+    for row in fixtures.TABLE1 + fixtures.TABLE2:
+        problems = check_table_row(row)[1]
+        assert not problems, "%s: %s" % (row.name, problems)
 
 
 def test_verify_table_enumerates_to_one_depth_rule(monkeypatch):
@@ -134,10 +134,10 @@ def test_verify_table_enumerates_to_one_depth_rule(monkeypatch):
         return theta_coefficients(gram, max_norm, budget)
 
     monkeypatch.setattr(modform, "theta_coefficients", recorder)
-    assert all(ok for _, ok, _ in verify_table(1))
+    assert not any(check_table_row(row)[1] for row in fixtures.TABLE1)
     assert depths == [("A2", 0), ("D4", 0), ("K12", 4), ("BW16", 4)]
     del depths[:]
-    assert all(ok for _, ok, _ in verify_table(2))
+    assert not any(check_table_row(row)[1] for row in fixtures.TABLE2)
     assert depths == [("ExampleDim8", 8)]
 
 
@@ -149,10 +149,69 @@ def test_verify_table_lists_a_contradicting_count(monkeypatch):
                 for m, c in theta_coefficients(gram, max_norm, budget)]
 
     monkeypatch.setattr(modform, "theta_coefficients", altered)
-    report = verify_table(1)
-    assert [name for name, ok, _ in report if not ok] == ["BW16"]
-    (problem,) = dict((name, p) for name, _, p in report)["BW16"]
+    report = {row.name: check_table_row(row)[1] for row in fixtures.TABLE1}
+    assert [name for name, problems in report.items() if problems] == ["BW16"]
+    (problem,) = report["BW16"]
     assert "at q^4" in problem
+
+
+def test_table_row_and_solve_messages(monkeypatch):
+    # a row failing each check of check_table_row, and each refusal of
+    # solve_coefficients, with its message
+    def problems(*row, gram=None):
+        return check_table_row(fixtures.TableRow(*row, 0.0, gram))[1]
+
+    assert problems(16, "const", 2, "even", (2, -96)) == [
+        "constant term 2 != 1"]
+    assert problems(16, "third", 2, "even", (1, Fraction(1, 3))) == [
+        "coefficient 289/3 at q^2 not a count",
+        "coefficient 10648/3 at q^4 not a count",
+        "coefficient 1586656/3 at q^8 not a count"]
+    assert problems(16, "negative", 2, "even", (1, -200)) == [
+        "coefficient -104 at q^2 not a count"]
+    assert problems(16, "BW16", 2, "even", (1, -95), gram="BW16") == [
+        "catalog Gram gives Theta_D4^4 - 96*Delta_16"]
+    surplus = ("solution gives coefficient %s at q^%s but %s was supplied; "
+               "wrong level, parity or basis shape for this lattice")
+    assert problems(8, "dim8", 2, "even", (1,), gram="ExampleDim8") == [
+        "catalog Gram: " + surplus % (48, 2, 32)]
+    # the general shape read with step 2: its odd exponents are flagged
+    monkeypatch.setitem(modform._SHAPES, ("general", 2),
+                        modform._SHAPES["general", 2]._replace(step=2))
+    assert problems(8, "odd", 2, "general", (1, -8, 0)) == [
+        "odd-exponent term q^%d in even lattice" % e for e in (3, 5, 7, 9)]
+    assert problems(8, "mixed", 2, "general", (1, Fraction(-17, 2), 0)) == [
+        "coefficient -1/2 at q^1 not a count",
+        "odd-exponent term q^1 in even lattice",
+        "odd-exponent term q^3 in even lattice",
+        "odd-exponent term q^5 in even lattice",
+        "odd-exponent term q^7 in even lattice",
+        "coefficient 6155/2 at q^9 not a count",
+        "odd-exponent term q^9 in even lattice"]
+    monkeypatch.undo()
+
+    bw16, dim8 = build_basis(2, 16, "even"), build_basis(2, 8, "general")
+    known = theta_coefficients(catalog("BW16").gram, 8)
+    with pytest.raises(ValueError,
+                       match=r"^need theta coefficients at exponents \[2\]$"):
+        solve_coefficients(bw16, [(0, 1)])
+    with pytest.raises(ValueError,
+                       match=r"^need theta coefficients at exponents \[1\]$"):
+        solve_coefficients(dim8, [(Fraction(1, 2), 3), (0, 1), (2, 5)])
+    bad = [(m, c + (m == 6)) for m, c in known]
+    with pytest.raises(InconsistentSurplus) as exc:
+        solve_coefficients(bw16, bad)
+    assert str(exc.value) == surplus % (61440, 6, 61441)
+    # a norm given twice counts with its last count
+    assert solve_coefficients(bw16, bad + known).coeffs == (1, -96)
+    with pytest.raises(InconsistentSurplus):
+        solve_coefficients(bw16, known + bad)
+    # a half-scaled Gram has counts at half-integral norms
+    half = GramMatrix([[Fraction(x, 2) for x in row]
+                       for row in catalog("ExampleDim8").gram.entries])
+    with pytest.raises(InconsistentSurplus) as exc:
+        solve_coefficients(dim8, theta_coefficients(half, 4))
+    assert str(exc.value) == surplus % (0, "3/2", 128)
 
 
 def test_even_fixture_expansions_are_even():

@@ -135,6 +135,11 @@ def test_tail_bound_not_met(enum_calls):
     del enum_calls[:]
     with pytest.raises(TailBoundNotMet):
         eval_gram_numeric(g, 1.0, eps=1e-300)
+    # y = inf lies past every bracket, so the plan gives it the primal
+    # side without weighing the dual; at an infinite rate no cutoff of
+    # that side certifies it
+    with pytest.raises(TailBoundNotMet, match="at y=inf"):
+        eval_gram_numeric(g, math.inf)
     assert enum_calls == []
 
 
