@@ -185,7 +185,8 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
     integers of the solution's expansion.
     """
     step, size = basis.step, len(basis.terms)
-    order = max(surplus_depth + 1, step * (size - 1) + 1)
+    exps = _matching_exponents(basis, size)
+    order = max(surplus_depth + 1, exps[-1] + 1)
     rhs = [None] * size
     surplus = {}  # (numerator, denominator) of a norm -> its count
     for m, c in known:
@@ -196,7 +197,7 @@ def solve_coefficients(basis: BasisSpec, known, surplus_depth=_SPOT_CHECK):
                 rhs[i] = c
             else:
                 surplus[e, f] = c
-    missing = [step * i for i, c in enumerate(rhs) if c is None]
+    missing = [e for e, c in zip(exps, rhs) if c is None]
     if missing:
         raise ValueError("need theta coefficients at exponents %s" % missing)
     det, inverse, scales = _matching_inverse(basis)
